@@ -105,8 +105,11 @@ class ShardBackend {
   virtual Status ApplyBatch(size_t shard, const stream::TurnstileUpdate* data,
                             size_t count) = 0;
 
-  /// The shard's snapshot publication count. Monotone; cheap enough to poll
-  /// per query (an atomic load in process, one small frame over loopback).
+  /// The shard's snapshot publication count. Monotone and polled per query,
+  /// so it must be a local read: an atomic load in process; on a remote
+  /// backend the highest epoch any reply reported, recorded before the
+  /// call that received it returns. Unavailable while the shard is known
+  /// unreachable (its last call failed).
   virtual Result<uint64_t> Epoch(size_t shard) const = 0;
 
   /// The published snapshot of one sketch, as a live Sketch instance the

@@ -22,6 +22,31 @@
 namespace wbs::engine {
 namespace {
 
+/// Raises `epoch` to `seen` unless it is already there. Replies from the
+/// data and control channels land in any order; the recorded epoch only
+/// moves forward.
+void AdvanceEpoch(std::atomic<uint64_t>& epoch, uint64_t seen) {
+  uint64_t cur = epoch.load(std::memory_order_relaxed);
+  while (cur < seen &&
+         !epoch.compare_exchange_weak(cur, seen, std::memory_order_release,
+                                      std::memory_order_relaxed)) {
+  }
+}
+
+/// Decodes an ack: a Status, then the shard's epoch when the host sent
+/// one (apply, flush, import and heartbeat replies). The epoch is recorded
+/// into `epoch`; the remote Status is returned.
+Status DecodeAck(std::string_view resp, std::atomic<uint64_t>& epoch) {
+  wire::Reader r(resp);
+  Status remote = Status::OK();
+  if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
+  uint64_t seen = 0;
+  if (r.remaining() >= sizeof(seen) && r.U64(&seen).ok()) {
+    AdvanceEpoch(epoch, seen);
+  }
+  return remote;
+}
+
 class LoopbackRemoteBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
@@ -69,27 +94,22 @@ class LoopbackRemoteBackend final : public ShardBackend {
     Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
                          wire::kReqApply, w.data(), &resp);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;  // trailing epoch is advisory; the dirty scan polls it
+    // The ack's epoch is recorded before returning, so the query that
+    // follows this batch's ticket sees the shard dirty.
+    return DecodeAck(resp, shards_[shard]->epoch);
   }
 
   Result<uint64_t> Epoch(size_t shard) const override {
     if (shard >= shards_.size()) {
       return Status::OutOfRange("loopback backend: shard out of range");
     }
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqEpoch, {}, &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    uint64_t epoch = 0;
-    if (Status se = r.U64(&epoch); !se.ok()) return se;
-    return epoch;
+    // A local read: every reply that can move the epoch carries it.
+    const RemoteShard& rs = *shards_[shard];
+    if (rs.poisoned.load(std::memory_order_acquire)) {
+      return Status::Unavailable(
+          "loopback shard unreachable (poisoned channel)");
+    }
+    return rs.epoch.load(std::memory_order_acquire);
   }
 
   Result<ShardSnapshot> Snapshot(size_t shard,
@@ -130,6 +150,7 @@ class LoopbackRemoteBackend final : public ShardBackend {
     SerializedSnapshot out;
     if (Status se = r.U64(&out.epoch); !se.ok()) return se;
     if (Status ss = r.Str(&out.state); !ss.ok()) return ss;
+    AdvanceEpoch(shards_[shard]->epoch, out.epoch);
     return out;
   }
 
@@ -141,10 +162,7 @@ class LoopbackRemoteBackend final : public ShardBackend {
     Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
                          wire::kReqFlush, {}, &resp);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp, shards_[shard]->epoch);
   }
 
   Status ImportShardState(size_t shard,
@@ -168,10 +186,7 @@ class LoopbackRemoteBackend final : public ShardBackend {
     Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
                          wire::kReqImport, req.data(), &resp);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp, shards_[shard]->epoch);
   }
 
   Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
@@ -209,10 +224,7 @@ class LoopbackRemoteBackend final : public ShardBackend {
       return TransportFailure(
           rs, Status::Internal("loopback backend: unexpected response type"));
     }
-    wire::Reader r(resp_payload);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp_payload, rs.epoch);
   }
 
   Status InjectCrash(size_t shard, bool torn) override {
@@ -317,6 +329,9 @@ class LoopbackRemoteBackend final : public ShardBackend {
     /// stream alignment cannot be trusted, every later call on the shard
     /// fails fast with Unavailable instead of reading a stale frame.
     mutable std::atomic<bool> poisoned{false};
+    /// The highest epoch any reply reported (DecodeAck / snapshot replies);
+    /// Epoch() reads it without a round trip.
+    mutable std::atomic<uint64_t> epoch{0};
   };
 
   explicit LoopbackRemoteBackend(BackendOptions options)
@@ -474,28 +489,23 @@ class TcpRemoteBackend final : public ShardBackend {
     Status s = Call(ts, /*data_channel=*/true, wire::kReqApplySeq, w.data(),
                     &resp, dialer_.op_deadline_ms, seq);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    // Recorded before returning (replayed and synthesized acks carry the
+    // epoch too), so the batch's ticket never completes ahead of it.
+    return DecodeAck(resp, ts.last_epoch);
   }
 
   Result<uint64_t> Epoch(size_t shard) const override {
     if (shard >= shards_.size()) {
       return Status::OutOfRange("tcp backend: shard out of range");
     }
-    std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/false, wire::kReqEpoch,
-                    {}, &resp, dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    uint64_t epoch = 0;
-    if (Status se = r.U64(&epoch); !se.ok()) return se;
-    shards_[shard]->last_epoch.store(epoch, std::memory_order_relaxed);
-    return epoch;
+    // A local read: every reply that can move the epoch carries it, and a
+    // shard whose last call failed reports Unavailable until a call
+    // (apply, redial, heartbeat) gets through again.
+    const TcpShard& ts = *shards_[shard];
+    if (ts.unreachable.load(std::memory_order_acquire)) {
+      return Status::Unavailable("tcp shard unreachable (last call failed)");
+    }
+    return ts.last_epoch.load(std::memory_order_acquire);
   }
 
   Result<ShardSnapshot> Snapshot(size_t shard,
@@ -537,6 +547,7 @@ class TcpRemoteBackend final : public ShardBackend {
     SerializedSnapshot out;
     if (Status se = r.U64(&out.epoch); !se.ok()) return se;
     if (Status ss = r.Str(&out.state); !ss.ok()) return ss;
+    AdvanceEpoch(shards_[shard]->last_epoch, out.epoch);
     return out;
   }
 
@@ -548,10 +559,7 @@ class TcpRemoteBackend final : public ShardBackend {
     Status s = Call(*shards_[shard], /*data_channel=*/false, wire::kReqFlush,
                     {}, &resp, dialer_.op_deadline_ms);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp, shards_[shard]->last_epoch);
   }
 
   Status ImportShardState(size_t shard,
@@ -571,10 +579,7 @@ class TcpRemoteBackend final : public ShardBackend {
     Status s = Call(*shards_[shard], /*data_channel=*/true, wire::kReqImport,
                     req.data(), &resp, dialer_.op_deadline_ms);
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp, shards_[shard]->last_epoch);
   }
 
   Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
@@ -587,10 +592,7 @@ class TcpRemoteBackend final : public ShardBackend {
     Status s = Call(*shards_[shard], /*data_channel=*/false,
                     wire::kReqHeartbeat, {}, &resp, int(timeout_ms));
     if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return DecodeAck(resp, shards_[shard]->last_epoch);
   }
 
   Status InjectCrash(size_t shard, bool torn) override {
@@ -726,7 +728,12 @@ class TcpRemoteBackend final : public ShardBackend {
     /// silently recreating an empty shard.
     mutable std::atomic<bool> established{false};
     uint64_t next_apply_seq = 1;  ///< single caller per the backend contract
+    /// The highest epoch any reply reported (acks, hellos, snapshots);
+    /// Epoch() reads it without a round trip.
     mutable std::atomic<uint64_t> last_epoch{0};
+    /// Set when a call ends Unavailable, cleared by the next call that gets
+    /// through on either channel. Epoch() reports Unavailable while set.
+    mutable std::atomic<bool> unreachable{false};
 
     mutable Counter frames_out;
     mutable Counter frames_in;
@@ -828,26 +835,45 @@ class TcpRemoteBackend final : public ShardBackend {
     }
     if (!s.ok()) {
       ::close(fd.value());
-      return s;  // transport-level → retryable by classification above
+      // Transport-level: the host dropped or garbled the handshake (e.g. a
+      // partition severed it mid-flight, a clean EOF). Internal keeps it
+      // retryable, unlike a host rejection below.
+      return Status::Internal("tcp: handshake failed: " + s.ToString());
     }
     if (!remote.ok()) {
       ::close(fd.value());
       return remote;  // host rejection → authoritative, not retryable
     }
     ts.established.store(true, std::memory_order_release);
-    ts.last_epoch.store(reply->epoch, std::memory_order_relaxed);
+    AdvanceEpoch(ts.last_epoch, reply->epoch);
     ch.fd = fd.value();
     return Status::OK();
   }
 
-  /// One request/response on the shard's chosen channel, with reconnect —
-  /// the channel is (re)dialed and handshaken inside `deadline_ms`, with
-  /// exponential backoff between attempts. For kReqApplySeq calls,
-  /// `apply_seq` lets a reconnect detect that the host already applied the
-  /// batch (its ack was lost) and synthesize the ack instead of resending.
+  /// One request/response on the shard's chosen channel (Exchange), with
+  /// the outcome recorded in the shard's `unreachable` bit: Unavailable
+  /// sets it, any call that gets through clears it.
   Status Call(const TcpShard& ts, bool data_channel, uint8_t type,
               std::string_view payload, std::string* resp, int deadline_ms,
               uint64_t apply_seq = 0) const {
+    Status s = Exchange(ts, data_channel, type, payload, resp, deadline_ms,
+                        apply_seq);
+    if (s.ok()) {
+      ts.unreachable.store(false, std::memory_order_release);
+    } else if (s.code() == Status::Code::kUnavailable) {
+      ts.unreachable.store(true, std::memory_order_release);
+    }
+    return s;
+  }
+
+  /// The exchange itself, with reconnect — the channel is (re)dialed and
+  /// handshaken inside `deadline_ms`, with exponential backoff between
+  /// attempts. For kReqApplySeq calls, `apply_seq` lets a reconnect detect
+  /// that the host already applied the batch (its ack was lost) and
+  /// synthesize the ack instead of resending.
+  Status Exchange(const TcpShard& ts, bool data_channel, uint8_t type,
+                  std::string_view payload, std::string* resp,
+                  int deadline_ms, uint64_t apply_seq) const {
     TcpChannel& ch =
         const_cast<TcpChannel&>(data_channel ? ts.data : ts.control);
     const auto deadline = std::chrono::steady_clock::now() +

@@ -5,7 +5,11 @@
 // wire format. Nothing engine-side touches shard memory: update batches are
 // encoded as kUpdateBatch payloads, snapshots come back as serialized
 // kSketchState frames and are reconstructed through the registry, and
-// epochs/summaries are request/response frames.
+// summaries are request/response frames. Epochs need no request of their
+// own: every reply that can move a shard's epoch (apply acks, flush,
+// import, heartbeat, hello and snapshot replies) carries it, the backend
+// keeps the highest one seen per shard, and Epoch() is a local atomic read
+// — a merge-cache hit sends no frame.
 //
 // This is the proof that the Client facade, merge cache, and snapshot/epoch
 // protocol survive a process-style boundary: for the state-mergeable
@@ -20,6 +24,10 @@
 // Per shard, the backend holds the server plus two client channels (data
 // for ApplyBatch, control for queries), each guarded by its own mutex so
 // concurrent query threads serialize per shard without blocking ingest.
+// A shard whose channel failed reports Unavailable from Epoch() too
+// (loopback: poisoned channels; tcp: until a later call gets through), so
+// the engine's stale-serving supervision sees the death at the first
+// failed call rather than on a per-query probe.
 
 #ifndef WBS_ENGINE_REMOTE_BACKEND_H_
 #define WBS_ENGINE_REMOTE_BACKEND_H_

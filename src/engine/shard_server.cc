@@ -230,11 +230,6 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
       w.U64(shard_->Epoch(0).value_or(0));
       break;
     }
-    case wire::kReqEpoch: {
-      PutStatus(Status::OK(), &w);
-      w.U64(shard_->Epoch(0).value_or(0));
-      break;
-    }
     case wire::kReqSnapshot: {
       wire::Reader r(payload);
       uint32_t sketch_index = 0;
@@ -282,7 +277,7 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
     }
     case wire::kReqHeartbeat: {
       // Liveness probe: answering at all is the signal; the epoch rides
-      // along so supervisors can watch progress for free. Deliberately
+      // along so the client's recorded epoch keeps up for free. Deliberately
       // served through the same mutex as every other request — a shard
       // wedged inside Dispatch fails its heartbeat deadline too.
       PutStatus(Status::OK(), &w);

@@ -13,8 +13,13 @@
 //
 //   * the DATA channel carries kReqApply — called by the shard's single
 //     owning worker, strictly request/response;
-//   * the CONTROL channel carries kReqFlush/kReqEpoch/kReqSnapshot/
-//     kReqSummary/kReqSpaceBits — called by query threads at any time.
+//   * the CONTROL channel carries kReqFlush/kReqSnapshot/kReqSummary/
+//     kReqSpaceBits/kReqHeartbeat — called by query threads and the
+//     supervisor at any time.
+//
+// Apply, flush, import and heartbeat replies end with the shard's current
+// epoch (snapshot replies lead with it), which is how the client learns
+// epochs without a request of its own.
 //
 // Both channels are served by their own thread against one shared shard
 // state under a mutex, so a snapshot request racing an apply sees either

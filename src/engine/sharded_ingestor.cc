@@ -1549,8 +1549,9 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
     cache.merged.reset();
   }
 
-  // Dirty scan: backend epoch reads (an atomic load in process, one small
-  // frame over a remote transport) against the epochs the cache folded.
+  // Dirty scan: backend epoch reads (local atomic loads on every backend;
+  // remote ones record the epochs their replies carry) against the epochs
+  // the cache folded, so a clean hit costs no round trip.
   // With supervision on, an unreachable shard does NOT fail the query —
   // its last folded snapshot keeps answering and the summary is flagged
   // stale until the shard recovers (the recovery's generation bump then

@@ -55,7 +55,7 @@ enum FrameType : uint8_t {
 
   kReqApply = 32,     ///< apply an update batch to the shard
   kReqFlush = 33,     ///< publish the shard's snapshot if it lags
-  kReqEpoch = 34,     ///< read the shard's snapshot epoch
+  // 34 was kReqEpoch (epochs now ride on replies); retired, never reuse.
   kReqSnapshot = 35,  ///< fetch (epoch, serialized state) of one sketch
   kReqSummary = 36,   ///< live summary of one sketch (quiescent callers)
   kReqSpaceBits = 37, ///< total state bits of the shard

@@ -249,6 +249,120 @@ TEST(BackendEquivalenceTest, LoopbackQueriesRaceProducersSafely) {
   EXPECT_EQ(got.value().updates, uint64_t(s.size()));
 }
 
+// ------------------------------------------- remote epochs ride on replies --
+
+/// An unsupervised client (no heartbeats, so no background frames) over
+/// `backend`, publishing every `snapshot_min_updates` updates per shard.
+std::unique_ptr<Client> MakeQuietClient(BackendFactory backend,
+                                        const SketchConfig& cfg,
+                                        size_t snapshot_min_updates) {
+  ClientOptions opts;
+  opts.ingest.num_shards = 4;
+  opts.ingest.num_threads = 2;
+  opts.ingest.sketches = {"ams_f2", "sis_l0"};
+  opts.ingest.config = cfg;
+  opts.ingest.snapshot_min_updates = snapshot_min_updates;
+  opts.ingest.backend = std::move(backend);
+  auto client = Client::Create(opts);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  return std::move(client).value();
+}
+
+/// A clean merge-cache hit reads the shard epochs the acks already
+/// delivered: 1000 hits send exactly as many frames as zero hits do (the
+/// Metrics probe's own kReqMetrics is the only traffic between samples).
+void CheckCacheHitsSendNoFrames(BackendFactory backend) {
+  const uint64_t universe = 1 << 12;
+  auto client = MakeQuietClient(std::move(backend), TestConfig(universe, 41),
+                                /*snapshot_min_updates=*/1024);
+  auto s = ZipfTurnstile(universe, 20000, 42);
+  ASSERT_TRUE(Replay(client.get(), s, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  auto f2 = client->Handle("ams_f2").value();
+  auto warm = client->QueryScalar(f2);  // folds every shard once
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  auto frames_out = [](const MetricsSnapshot& snap, size_t shard) {
+    return snap.Value("engine.shard." + std::to_string(shard) +
+                      ".wire.frames_out_total");
+  };
+  const MetricsSnapshot m0 = client->Metrics();
+  const MetricsSnapshot m1 = client->Metrics();  // across zero queries
+  for (int q = 0; q < 1000; ++q) {
+    auto hit = client->QueryScalar(f2);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_EQ(hit.value().value, warm.value().value);
+    ASSERT_EQ(hit.value().updates, uint64_t(s.size()));
+    ASSERT_FALSE(hit.value().stale);
+  }
+  const MetricsSnapshot m2 = client->Metrics();  // across 1000 queries
+  for (size_t shard = 0; shard < 4; ++shard) {
+    ASSERT_NE(m0.Find("engine.shard." + std::to_string(shard) +
+                      ".wire.frames_out_total"),
+              nullptr)
+        << shard;
+    EXPECT_EQ(frames_out(m2, shard) - frames_out(m1, shard),
+              frames_out(m1, shard) - frames_out(m0, shard))
+        << "shard " << shard;
+  }
+  EXPECT_GE(m2.Value("engine.sketch.ams_f2.merge_cache.hits_total"),
+            m1.Value("engine.sketch.ams_f2.merge_cache.hits_total") + 1000);
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+TEST(RemoteEpochTest, TcpCacheHitsSendNoFrames) {
+  CheckCacheHitsSendNoFrames(TcpBackendFactory());
+}
+
+TEST(RemoteEpochTest, LoopbackCacheHitsSendNoFrames) {
+  CheckCacheHitsSendNoFrames(LoopbackBackendFactory());
+}
+
+/// Every per-shard batch publishes (snapshot_min_updates = 0), so once a
+/// ticket completes, the very next query must fold every update submitted
+/// so far — with no Flush. This pins "the ack's epoch is recorded before
+/// ApplyBatch returns": a ticket that completed ahead of its epoch would
+/// let the dirty scan miss the shard and serve the previous fold.
+void CheckAckEpochIsVisibleToNextQuery(const std::string& backend) {
+  auto factory = BackendFactoryByName(backend);
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  const uint64_t universe = 1 << 12;
+  auto client = MakeQuietClient(std::move(factory).value(),
+                                TestConfig(universe, 43),
+                                /*snapshot_min_updates=*/0);
+  auto s = ZipfTurnstile(universe, 12000, 44);
+  auto f2 = client->Handle("ams_f2").value();
+  const size_t batch = 1000;
+  for (size_t off = 0; off < s.size(); off += batch) {
+    const size_t n = std::min(batch, s.size() - off);
+    auto ticket = client->Submit(s.data() + off, n);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    for (;;) {
+      auto done = client->TryWait(ticket.value());
+      ASSERT_TRUE(done.ok()) << done.status().ToString();
+      if (done.value()) break;
+      std::this_thread::yield();
+    }
+    auto got = client->QueryScalar(f2);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().updates, uint64_t(off + n))
+        << backend << " after " << off + n << " updates";
+  }
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+TEST(RemoteEpochTest, TcpAckEpochIsVisibleToNextQuery) {
+  CheckAckEpochIsVisibleToNextQuery("tcp");
+}
+
+TEST(RemoteEpochTest, LoopbackAckEpochIsVisibleToNextQuery) {
+  CheckAckEpochIsVisibleToNextQuery("loopback");
+}
+
+TEST(RemoteEpochTest, MixedAckEpochIsVisibleToNextQuery) {
+  CheckAckEpochIsVisibleToNextQuery("mixed");
+}
+
 // ---------------------------------------------------------- flow control --
 
 /// A sketch whose ApplyBatch parks on a global gate — lets the tests hold a

@@ -427,6 +427,112 @@ TEST(FailoverTest, DeadShardFailsFastServesStaleAndRecoversExactly) {
                      {"ams_f2", "misra_gries"});
 }
 
+// A TCP shard's epoch is a local read, so its death reaches queries through
+// the first failed call on it — here the supervisor's heartbeat. Until the
+// rescue, the query serves the pre-crash fold flagged stale; after it, the
+// same value unflagged.
+TEST(FailoverTest, DeadTcpShardServesStaleAndRecoversExactly) {
+  const uint64_t universe = 1 << 12;
+  const SketchConfig cfg = TestConfig(universe, 85);
+  auto s1 = ZipfTurnstile(universe, 20000, 86);
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.num_threads = 2;
+  opts.ingest.sketches = {"ams_f2", "misra_gries"};
+  opts.ingest.config = cfg;
+  opts.ingest.backend = TcpBackendFactory();
+  opts.ingest.failover.heartbeat_interval_ms = 10;
+  opts.ingest.failover.heartbeat_timeout_ms = 200;
+  opts.ingest.failover.dead_after_misses = 2;
+  opts.ingest.failover.auto_recover = false;
+  auto created = Client::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto client = std::move(created).value();
+  auto f2 = client->Handle("ams_f2").value();
+  ASSERT_TRUE(Replay(client.get(), s1, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  ASSERT_TRUE(client->Checkpoint().ok());
+  auto before = client->QueryScalar(f2);  // warms the merge-cache fold
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(before.value().stale);
+  EXPECT_EQ(before.value().updates, uint64_t(s1.size()));
+
+  ASSERT_TRUE(client->InjectShardCrash(0).ok());
+  ASSERT_TRUE(PollUntil([&] {
+    return client->Health(0).health == ShardHealth::kDead;
+  })) << "supervisor never declared the crashed tcp shard dead";
+
+  auto during = client->QueryScalar(f2);
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_TRUE(during.value().stale);
+  EXPECT_EQ(during.value().value, before.value().value);
+  EXPECT_EQ(during.value().updates, before.value().updates);
+
+  ASSERT_TRUE(client->RecoverShard(0, TcpBackendFactory()).ok());
+  EXPECT_EQ(client->Health(0).health, ShardHealth::kHealthy);
+  EXPECT_EQ(client->Health(0).updates_lost_total, 0u);
+  auto after = client->QueryScalar(f2);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after.value().stale);
+  EXPECT_EQ(after.value().value, before.value().value);
+  EXPECT_EQ(after.value().updates, before.value().updates);
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+// The recorded epoch only moves forward: a partition makes the next apply
+// redial, and the hello reply that comes back must not roll the epoch back
+// against replies the query thread recorded in between.
+TEST(FailoverTest, TcpShardEpochNeverDecreasesAcrossRedials) {
+  const uint64_t universe = 1 << 12;
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.num_threads = 2;
+  opts.ingest.sketches = {"ams_f2"};
+  opts.ingest.config = TestConfig(universe, 87);
+  opts.ingest.snapshot_min_updates = 0;  // every batch moves the epoch
+  opts.ingest.backend = TcpBackendFactory();
+  auto created = Client::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto client = std::move(created).value();
+  auto f2 = client->Handle("ams_f2").value();
+  auto s = ZipfTurnstile(universe, 16000, 88);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> regressions{0};
+  std::thread watcher([&] {
+    uint64_t last[2] = {0, 0};
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)client->QueryScalar(f2);  // snapshot replies record epochs too
+      for (size_t shard = 0; shard < 2; ++shard) {
+        const uint64_t e = client->ingestor().ShardEpoch(shard);
+        if (e < last[shard]) ++regressions;
+        last[shard] = e;
+      }
+    }
+  });
+  uint64_t epoch_before = 0;
+  for (size_t off = 0; off < s.size(); off += 1000) {
+    if ((off / 1000) % 4 == 2) {
+      epoch_before = client->ingestor().ShardEpoch(0);
+      ASSERT_TRUE(client->InjectShardPartition(0).ok());
+    }
+    auto t = client->Submit(s.data() + off,
+                            std::min<size_t>(1000, s.size() - off));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_TRUE(client->Wait(t.value()).ok());
+    EXPECT_GE(client->ingestor().ShardEpoch(0), epoch_before);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  watcher.join();
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GE(client->Metrics().Value("engine.shard.0.tcp.reconnects_total"),
+            1u);
+  ASSERT_TRUE(client->Finish().ok());
+  auto got = client->QueryScalar(f2);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().updates, uint64_t(s.size()));
+}
+
 // ------------------------------------------------------ WaitFor deadline --
 
 /// A sketch whose ApplyBatch parks on a gate — pins a ticket in flight so

@@ -253,7 +253,7 @@ TEST(TcpHandshakeTest, UnknownTokenWithoutSpecIsNotFound) {
 TEST(TcpHandshakeTest, RequestBeforeHelloRejected) {
   auto host = TcpShardHost::Start({});
   ASSERT_TRUE(host.ok()) << host.status().ToString();
-  Status s = OneShot(host.value()->port(), wire::kReqEpoch, "");
+  Status s = OneShot(host.value()->port(), wire::kReqHeartbeat, "");
   EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition) << s.ToString();
 }
 
