@@ -6,9 +6,10 @@
 // ShardedIngestor used to hard-code a private, process-local `Shard` struct;
 // everything below the scatter/router/ticket machinery is now behind this
 // interface, so shards can live in this process (`InProcessBackend`, the
-// former code path, bit-identical, zero-copy), behind a socket speaking the
-// wire format (`LoopbackRemoteBackend` in remote_backend.h), or anywhere a
-// future transport puts them — without touching the engine core.
+// former code path, bit-identical, zero-copy), behind a TCP socket speaking
+// the wire format (`TcpBackendFactory` in remote_backend.h), or mixed
+// shard-by-shard (`CompositeBackendFactory`) — without touching the engine
+// core.
 //
 // Contract (what the ingestor guarantees / expects):
 //
@@ -60,8 +61,8 @@ struct BackendOptions {
   SketchConfig config;                ///< base config; see ShardConfigFor()
   size_t snapshot_min_updates = 1024;
   /// When true, `config.shard_seed` is already resolved and must be used
-  /// as-is instead of re-deriving per shard — set by the loopback shard
-  /// server, whose single shard receives the seed its client derived.
+  /// as-is instead of re-deriving per shard — set by the tcp shard host,
+  /// whose single-shard cells receive the seed their dialer derived.
   bool shard_seeds_resolved = false;
 };
 
@@ -91,7 +92,7 @@ class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  /// Stable backend identifier ("inprocess", "loopback", ...).
+  /// Stable backend identifier ("inprocess", "tcp", "composite").
   virtual const std::string& name() const = 0;
 
   virtual BackendCapabilities capabilities() const = 0;
@@ -162,8 +163,8 @@ class ShardBackend {
     return Status::OK();
   }
 
-  /// Fault injection for tests and drills: kills the shard's serving loop
-  /// (see ShardServer crash modes); `torn` first emits a checksum-corrupted
+  /// Fault injection for tests and drills: kills the shard's serving host
+  /// (see TcpShardHost crash modes); `torn` first emits a checksum-corrupted
   /// frame. Unimplemented by default — backends whose shards cannot crash
   /// independently (in-process) cannot fake it either.
   virtual Status InjectCrash(size_t shard, bool torn) {
@@ -183,7 +184,7 @@ class ShardBackend {
   }
 
   /// The network endpoint ("host:port") serving this shard, or "" for
-  /// shards with no endpoint (in-process, socketpair loopback). Placements
+  /// shards with no endpoint (in-process). Placements
   /// record this so supervision can group shards into per-host failure
   /// domains: when one shard on an endpoint misses a heartbeat, every
   /// placement on that endpoint goes kSuspect together.
@@ -213,7 +214,7 @@ BackendFactory InProcessBackendFactory();
 
 /// Mixed placement: shard i is hosted by a single-shard child backend built
 /// from `placements[i % placements.size()]`, so one engine can keep some
-/// shards in-process and put others behind the loopback wire (or any other
+/// shards in-process and put others behind the tcp wire (or any other
 /// factory) SIMULTANEOUSLY. The composite resolves each child's shard seed
 /// from the global shard id before delegating, so a shard samples
 /// identically no matter which placement pattern hosts it. Capabilities

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "engine/shard_server.h"
 #include "engine/tcp_transport.h"
 #include "engine/wire.h"
 
@@ -47,368 +46,6 @@ Status DecodeAck(std::string_view resp, std::atomic<uint64_t>& epoch) {
   return remote;
 }
 
-class LoopbackRemoteBackend final : public ShardBackend {
- public:
-  static Result<std::unique_ptr<ShardBackend>> Create(
-      const BackendOptions& options) {
-    std::unique_ptr<LoopbackRemoteBackend> backend(
-        new LoopbackRemoteBackend(options));
-    for (size_t shard = 0; shard < options.num_shards; ++shard) {
-      auto rs = std::make_unique<RemoteShard>();
-      rs->cfg = options.shard_seeds_resolved
-                    ? options.config
-                    : ShardConfigFor(options.config, shard);
-      ShardServerOptions sopts;
-      sopts.sketches = options.sketches;
-      sopts.config = rs->cfg;
-      sopts.snapshot_min_updates = options.snapshot_min_updates;
-      auto server = ShardServer::Start(sopts);
-      if (!server.ok()) return server.status();
-      rs->server = std::move(server).value();
-      backend->shards_.push_back(std::move(rs));
-    }
-    return Result<std::unique_ptr<ShardBackend>>(std::move(backend));
-  }
-
-  const std::string& name() const override {
-    static const std::string kName = "loopback";
-    return kName;
-  }
-
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*zero_copy=*/false,
-                               /*crosses_process_boundary=*/true,
-                               wire::kFormatVersion};
-  }
-
-  size_t num_shards() const override { return shards_.size(); }
-
-  Status ApplyBatch(size_t shard, const stream::TurnstileUpdate* data,
-                    size_t count) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    wire::Writer w;
-    wire::EncodeUpdates(data, count, &w);
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
-                         wire::kReqApply, w.data(), &resp);
-    if (!s.ok()) return s;
-    // The ack's epoch is recorded before returning, so the query that
-    // follows this batch's ticket sees the shard dirty.
-    return DecodeAck(resp, shards_[shard]->epoch);
-  }
-
-  Result<uint64_t> Epoch(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    // A local read: every reply that can move the epoch carries it.
-    const RemoteShard& rs = *shards_[shard];
-    if (rs.poisoned.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "loopback shard unreachable (poisoned channel)");
-    }
-    return rs.epoch.load(std::memory_order_acquire);
-  }
-
-  Result<ShardSnapshot> Snapshot(size_t shard,
-                                 size_t sketch_index) const override {
-    auto serialized = SnapshotSerialized(shard, sketch_index);
-    if (!serialized.ok()) return serialized.status();
-    ShardSnapshot snap;
-    snap.epoch = serialized.value().epoch;
-    if (serialized.value().state.empty()) return snap;  // never published
-    const auto t0 = std::chrono::steady_clock::now();
-    auto sketch =
-        DeserializeSketch(options_.sketches[sketch_index],
-                          shards_[shard]->cfg, serialized.value().state);
-    if (!sketch.ok()) return sketch.status();
-    shards_[shard]->deserialize_us.Record(ElapsedUs(t0));
-    snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
-    return snap;
-  }
-
-  Result<SerializedSnapshot> SnapshotSerialized(
-      size_t shard, size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    if (sketch_index >= options_.sketches.size()) {
-      return Status::OutOfRange("loopback backend: sketch out of range");
-    }
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqSnapshot, req.data(), &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    SerializedSnapshot out;
-    if (Status se = r.U64(&out.epoch); !se.ok()) return se;
-    if (Status ss = r.Str(&out.state); !ss.ok()) return ss;
-    AdvanceEpoch(shards_[shard]->epoch, out.epoch);
-    return out;
-  }
-
-  Status Flush(size_t shard) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqFlush, {}, &resp);
-    if (!s.ok()) return s;
-    return DecodeAck(resp, shards_[shard]->epoch);
-  }
-
-  Status ImportShardState(size_t shard,
-                          const std::vector<std::string>& frames) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    if (frames.size() != options_.sketches.size()) {
-      return Status::InvalidArgument(
-          "loopback backend: handoff frame count does not match the "
-          "configured sketch group");
-    }
-    // The handoff frame: a kReqImport whose payload is the sketch-state
-    // frames, length-prefixed in sketch order. The server decodes and
-    // installs them atomically, then publishes, so the imported history is
-    // merge-visible on the first post-handoff query.
-    wire::Writer req;
-    req.U32(uint32_t(frames.size()));
-    for (const std::string& frame : frames) req.Str(frame);
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
-                         wire::kReqImport, req.data(), &resp);
-    if (!s.ok()) return s;
-    return DecodeAck(resp, shards_[shard]->epoch);
-  }
-
-  Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    const RemoteShard& rs = *shards_[shard];
-    if (rs.poisoned.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "loopback shard unreachable (poisoned channel)");
-    }
-    std::lock_guard<std::mutex> lock(rs.control_mu);
-    const int fd = rs.server->control_fd();
-    Status s = wire::WriteFrameFd(fd, wire::kReqHeartbeat, {});
-    if (!s.ok()) return TransportFailure(rs, s);
-    rs.frames_out.Inc();
-    rs.bytes_out.Inc(FramedBytes(0));
-    uint8_t resp_type = 0;
-    std::string_view resp_payload;
-    s = wire::ReadFrameFdTimeout(fd, int(timeout_ms), &frame_scratch(),
-                                 &resp_type, &resp_payload);
-    if (s.code() == Status::Code::kDeadlineExceeded) {
-      // The deadline passed with no answer. A LATE answer arriving after we
-      // give up would desync the channel framing for the next caller, so
-      // the shard's channels are poisoned — every later call fails fast as
-      // Unavailable until the placement is re-homed.
-      rs.recv_errors.Inc();
-      rs.poisoned.store(true, std::memory_order_release);
-      return s;
-    }
-    if (!s.ok()) return TransportFailure(rs, s);
-    rs.frames_in.Inc();
-    rs.bytes_in.Inc(FramedBytes(resp_payload.size()));
-    if (resp_type != wire::kResp) {
-      return TransportFailure(
-          rs, Status::Internal("loopback backend: unexpected response type"));
-    }
-    return DecodeAck(resp_payload, rs.epoch);
-  }
-
-  Status InjectCrash(size_t shard, bool torn) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    shards_[shard]->server->CrashNow(torn);
-    return Status::OK();
-  }
-
-  Result<SketchSummary> LiveSummary(size_t shard,
-                                    size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqSummary, req.data(), &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    SketchSummary summary;
-    if (Status ss = wire::DecodeSummary(&r, &summary); !ss.ok()) return ss;
-    return summary;
-  }
-
-  Result<std::vector<MetricSample>> Metrics(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    const RemoteShard& rs = *shards_[shard];
-    // The shard's own samples (epoch, snapshot lag, serialize latency)
-    // report THROUGH the control channel — the remote cell is the source
-    // of truth for its state, exactly like every other query.
-    std::string resp;
-    Status s = RoundTrip(rs, /*data_channel=*/false, wire::kReqMetrics, {},
-                         &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    std::vector<MetricSample> out;
-    if (Status sm = wire::DecodeMetricSamples(&r, &out); !sm.ok()) return sm;
-    // Client-side channel counters ride along under the wire.* prefix.
-    out.push_back(CounterSample("wire.frames_out_total", rs.frames_out));
-    out.push_back(CounterSample("wire.frames_in_total", rs.frames_in));
-    out.push_back(CounterSample("wire.bytes_out_total", rs.bytes_out));
-    out.push_back(CounterSample("wire.bytes_in_total", rs.bytes_in));
-    out.push_back(CounterSample("wire.crc_rejects_total", rs.crc_rejects));
-    out.push_back(CounterSample("wire.recv_errors_total", rs.recv_errors));
-    out.push_back(HistogramSample("wire.roundtrip_us", rs.roundtrip_us));
-    out.push_back(HistogramSample("wire.deserialize_us", rs.deserialize_us));
-    return out;
-  }
-
-  uint64_t SpaceBits() const override {
-    uint64_t bits = 0;
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      std::string resp;
-      if (!RoundTrip(*shards_[shard], false, wire::kReqSpaceBits, {}, &resp)
-               .ok()) {
-        return 0;
-      }
-      wire::Reader r(resp);
-      Status remote = Status::OK();
-      uint64_t shard_bits = 0;
-      if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
-          !r.U64(&shard_bits).ok()) {
-        return 0;
-      }
-      bits += shard_bits;
-    }
-    return bits;
-  }
-
- private:
-  struct RemoteShard {
-    std::unique_ptr<ShardServer> server;
-    SketchConfig cfg;  ///< resolved shard config (for deserialization)
-    // The data channel has a single caller by the backend contract, but the
-    // mutex also covers inline mode and keeps the channel framing safe by
-    // construction; the control channel is shared by query threads.
-    mutable std::mutex data_mu;
-    mutable std::mutex control_mu;
-    // Client-side channel observability (relaxed atomics, safe from both
-    // channels at once). Counted per round trip in RoundTrip().
-    mutable Counter frames_out;
-    mutable Counter frames_in;
-    mutable Counter bytes_out;  ///< framed bytes written (incl. headers/CRC)
-    mutable Counter bytes_in;
-    mutable Counter crc_rejects;  ///< responses rejected for a bad checksum
-    mutable Counter recv_errors;  ///< other failed response reads
-    mutable Histogram roundtrip_us;
-    mutable Histogram deserialize_us;  ///< snapshot state decode latency
-    /// Sticky failure flag: set on the first transport-level failure
-    /// (failed write, failed/corrupt read, heartbeat timeout). Once the
-    /// stream alignment cannot be trusted, every later call on the shard
-    /// fails fast with Unavailable instead of reading a stale frame.
-    mutable std::atomic<bool> poisoned{false};
-    /// The highest epoch any reply reported (DecodeAck / snapshot replies);
-    /// Epoch() reads it without a round trip.
-    mutable std::atomic<uint64_t> epoch{0};
-  };
-
-  explicit LoopbackRemoteBackend(BackendOptions options)
-      : options_(std::move(options)) {}
-
-  static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
-    return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-  }
-
-  /// Bytes one frame occupies on the wire for a payload of `n` bytes:
-  /// u32 length + version + type + payload + u32 crc.
-  static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }
-
-  /// Classifies and records a transport-level failure, poisons the shard's
-  /// channels, and maps it to Unavailable — the code the engine's failover
-  /// layer keys off to distinguish "the placement is unreachable" (degrade,
-  /// recover) from "the sketch rejected the request" (poison the pipeline).
-  Status TransportFailure(const RemoteShard& shard, const Status& s) const {
-    // A checksum reject means the bytes arrived but failed validation —
-    // the corruption counter the health surface watches. Everything else
-    // (EOF, EPIPE, short frame, protocol desync) is a receive error.
-    if (s.message().find("checksum") != std::string::npos) {
-      shard.crc_rejects.Inc();
-    } else {
-      shard.recv_errors.Inc();
-    }
-    shard.poisoned.store(true, std::memory_order_release);
-    return Status::Unavailable("loopback shard unreachable: " + s.ToString());
-  }
-
-  /// One request/response exchange on the shard's chosen channel. The
-  /// response payload (after frame validation) lands in `resp`.
-  Status RoundTrip(const RemoteShard& shard, bool data_channel, uint8_t type,
-                   std::string_view payload, std::string* resp) const {
-    if (shard.poisoned.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "loopback shard unreachable (poisoned channel)");
-    }
-    std::mutex& mu = data_channel ? shard.data_mu : shard.control_mu;
-    const int fd = data_channel ? shard.server->data_fd()
-                                : shard.server->control_fd();
-    const auto t0 = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mu);
-    Status s = wire::WriteFrameFd(fd, type, payload);
-    if (!s.ok()) return TransportFailure(shard, s);
-    shard.frames_out.Inc();
-    shard.bytes_out.Inc(FramedBytes(payload.size()));
-    uint8_t resp_type = 0;
-    std::string_view resp_payload;
-    s = wire::ReadFrameFd(fd, &frame_scratch(), &resp_type, &resp_payload);
-    if (!s.ok()) return TransportFailure(shard, s);
-    shard.frames_in.Inc();
-    shard.bytes_in.Inc(FramedBytes(resp_payload.size()));
-    shard.roundtrip_us.Record(ElapsedUs(t0));
-    if (resp_type != wire::kResp) {
-      return TransportFailure(
-          shard, Status::Internal("loopback backend: unexpected response type"));
-    }
-    resp->assign(resp_payload);
-    return Status::OK();
-  }
-
-  /// Per-thread frame buffer so concurrent round trips (different shards /
-  /// channels) do not share scratch.
-  static std::string& frame_scratch() {
-    thread_local std::string buf;
-    return buf;
-  }
-
-  BackendOptions options_;
-  std::vector<std::unique_ptr<RemoteShard>> shards_;
-};
-
-// ---- TCP backend -----------------------------------------------------------
-
 /// Session tokens must be unique per (process, shard instance): a daemon
 /// keyed on a colliding token would hand a foreign session to the dialer.
 uint64_t NewSessionToken() {
@@ -420,11 +57,12 @@ uint64_t NewSessionToken() {
 }
 
 /// A ShardBackend whose shards live behind TCP sessions (tcp_transport.h).
-/// The channel discipline mirrors loopback (data channel for applies and
-/// handoff imports, control channel for queries, one mutex each), but a
-/// broken connection is REDIALED inside the failing call's deadline and the
-/// handshake's last_applied_seq resyncs in-flight applies exactly-once —
-/// transient partitions heal with no re-home and no topology churn.
+/// Each shard has two channels — data for applies and handoff imports,
+/// control for queries and probes — with one mutex each, so query threads
+/// serialize per shard without blocking ingest. A broken connection is
+/// REDIALED inside the failing call's deadline and the handshake's
+/// last_applied_seq resyncs in-flight applies exactly-once — transient
+/// partitions heal with no re-home and no topology churn.
 class TcpRemoteBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
@@ -763,6 +401,8 @@ class TcpRemoteBackend final : public ShardBackend {
                         .count());
   }
 
+  /// Bytes one frame occupies on the wire for a payload of `n` bytes:
+  /// u32 length + version + type + payload + u32 crc.
   static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }
 
   static int RemainingMs(std::chrono::steady_clock::time_point deadline) {
@@ -956,12 +596,6 @@ class TcpRemoteBackend final : public ShardBackend {
 
 }  // namespace
 
-BackendFactory LoopbackBackendFactory() {
-  return [](const BackendOptions& options) {
-    return LoopbackRemoteBackend::Create(options);
-  };
-}
-
 BackendFactory TcpBackendFactory(TcpBackendOptions topts) {
   return [topts](const BackendOptions& options) {
     return TcpRemoteBackend::Create(options, topts);
@@ -970,12 +604,11 @@ BackendFactory TcpBackendFactory(TcpBackendOptions topts) {
 
 Result<BackendFactory> BackendFactoryByName(const std::string& name) {
   if (name.empty() || name == "inprocess") return InProcessBackendFactory();
-  if (name == "loopback") return LoopbackBackendFactory();
   if (name == "mixed") {
-    // Alternating placement: even shards in-process, odd shards behind the
-    // loopback wire — one engine spanning both worlds at once.
+    // Alternating placement: even shards in-process, odd shards behind
+    // self-hosted TCP sessions — one engine spanning both worlds at once.
     return CompositeBackendFactory(
-        {InProcessBackendFactory(), LoopbackBackendFactory()});
+        {InProcessBackendFactory(), TcpBackendFactory()});
   }
   if (name == "tcp") return TcpBackendFactory();
   if (name.rfind("tcp:", 0) == 0) {
@@ -999,7 +632,7 @@ Result<BackendFactory> BackendFactoryByName(const std::string& name) {
   }
   return Status::InvalidArgument(
       "unknown shard backend \"" + name +
-      "\" (want inprocess | loopback | mixed | tcp | tcp:HOST:PORT,...)");
+      "\" (want inprocess | mixed | tcp | tcp:HOST:PORT,...)");
 }
 
 }  // namespace wbs::engine

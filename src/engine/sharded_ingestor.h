@@ -14,8 +14,8 @@
 //
 // WHERE the shards live is behind the pluggable ShardBackend interface
 // (backend.h): InProcessBackend keeps them in this process (zero-copy
-// apply), LoopbackRemoteBackend (remote_backend.h) runs each shard behind
-// a socket speaking the engine wire format, and CompositeBackendFactory
+// apply), TcpBackendFactory (remote_backend.h) runs each shard behind a
+// TCP socket speaking the engine wire format, and CompositeBackendFactory
 // mixes placements shard-by-shard. On top of that, the topology supports
 // two LIVE operations, both linearized at batch boundaries through the
 // router:
@@ -156,7 +156,7 @@ struct IngestorOptions {
   SketchConfig config;
   /// Where the initial shards live. Empty = InProcessBackendFactory() (the
   /// process-local zero-copy backend). See backend.h for the contract,
-  /// remote_backend.h for the loopback wire-format backend, and
+  /// remote_backend.h for the tcp wire-format backend, and
   /// CompositeBackendFactory for mixed placement.
   BackendFactory backend;
   /// Observability: when true (the default) the engine registers and

@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
-#include "engine/shard_server.h"
 
 namespace wbs::engine {
 
@@ -55,6 +57,180 @@ Status SetNonBlocking(int fd, bool nonblocking) {
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// Parses a WBS_ENGINE_CRASH value of the form "after=N[,torn]" into an
+/// armed crash spec. Returns false (outputs untouched) for any other value
+/// — e.g. "replay", which the test util consumes to drive failover drills.
+bool ParseCrashEnvSpec(const char* value, int64_t* after, bool* torn) {
+  if (value == nullptr) return false;
+  std::string_view spec(value);
+  if (spec.rfind("after=", 0) != 0) return false;
+  spec.remove_prefix(6);
+  bool torn_flag = false;
+  if (size_t pos = spec.find(','); pos != std::string_view::npos) {
+    torn_flag = spec.substr(pos + 1) == "torn";
+    spec = spec.substr(0, pos);
+  }
+  int64_t n = -1;
+  auto [ptr, ec] = std::from_chars(spec.data(), spec.data() + spec.size(), n);
+  if (ec != std::errc() || ptr != spec.data() + spec.size() || n < 0) {
+    return false;
+  }
+  *after = n;
+  *torn = torn_flag;
+  return true;
+}
+
+/// Emits a length-valid frame whose body was corrupted AFTER the checksum
+/// was computed — the `torn` crash flavor. The dialer MUST reject it via
+/// CRC32, not via framing. A short write only makes the tear more
+/// realistic.
+void WriteTornFrameFd(int fd) {
+  std::string frame = wire::EncodeFrame(wire::kResp, "torn");
+  frame[frame.size() - 5] ^= 0x5a;  // flip a payload byte, keep the CRC
+  // MSG_NOSIGNAL: the dialer may already have hung up; EPIPE is fine here,
+  // SIGPIPE is not.
+  (void)!::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+}
+
+/// Decodes the update batch that follows a kReqApplySeq sequence number
+/// and applies it to the session's 1-shard cell.
+Status ApplyUpdates(ShardBackend& cell, std::string_view body) {
+  wire::Reader r(body);
+  std::vector<stream::TurnstileUpdate> updates;
+  Status s = wire::DecodeUpdates(&r, &updates);
+  if (s.ok()) s = r.ExpectEnd();
+  if (s.ok()) s = cell.ApplyBatch(0, updates.data(), updates.size());
+  return s;
+}
+
+/// Handles one non-apply shard request against a session's 1-shard cell
+/// and appends the response payload (Status first, then request-specific
+/// data) to `w`. Flush, import and heartbeat replies end with the shard's
+/// current epoch (snapshot replies lead with it; ServeConn appends it to
+/// apply acks), which is how the dialer learns epochs without a request
+/// of its own. A request that fails (bad payload, unknown sketch index,
+/// serialization error) answers with that Status and the connection stays
+/// usable. The caller holds the session mutex, so an apply and a snapshot
+/// request are serialized exactly like worker-vs-query access to a local
+/// shard slot.
+void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
+                          uint8_t type, std::string_view payload,
+                          wire::Writer* w) {
+  switch (type) {
+    case wire::kReqApply: {
+      // Applies are served only sequenced (kReqApplySeq), so every applied
+      // batch moves the session's last_applied_seq cursor — an unsequenced
+      // apply would bypass exactly-once dedup across reconnects.
+      wire::EncodeStatus(
+          Status::InvalidArgument("tcp shard host: unsequenced kReqApply is "
+                                  "not served (send kReqApplySeq)"),
+          w);
+      break;
+    }
+    case wire::kReqFlush: {
+      wire::EncodeStatus(shard.Flush(0), w);
+      w->U64(shard.Epoch(0).value_or(0));
+      break;
+    }
+    case wire::kReqSnapshot: {
+      wire::Reader r(payload);
+      uint32_t sketch_index = 0;
+      Status s = r.U32(&sketch_index);
+      if (s.ok()) s = r.ExpectEnd();
+      if (s.ok() && sketch_index >= num_sketches) {
+        s = Status::OutOfRange("tcp shard host: sketch index out of range");
+      }
+      if (!s.ok()) {
+        wire::EncodeStatus(s, w);
+        break;
+      }
+      auto snap = shard.SnapshotSerialized(0, sketch_index);
+      if (!snap.ok()) {
+        wire::EncodeStatus(snap.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(snap.value().epoch);
+      w->Str(snap.value().state);  // empty = never published
+      break;
+    }
+    case wire::kReqSummary: {
+      wire::Reader r(payload);
+      uint32_t sketch_index = 0;
+      Status s = r.U32(&sketch_index);
+      if (s.ok()) s = r.ExpectEnd();
+      if (!s.ok()) {
+        wire::EncodeStatus(s, w);
+        break;
+      }
+      auto summary = shard.LiveSummary(0, sketch_index);
+      if (!summary.ok()) {
+        wire::EncodeStatus(summary.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      wire::EncodeSummary(summary.value(), w);
+      break;
+    }
+    case wire::kReqSpaceBits: {
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(shard.SpaceBits());
+      break;
+    }
+    case wire::kReqHeartbeat: {
+      // Liveness probe: answering at all is the signal; the epoch rides
+      // along so the dialer's recorded epoch keeps up for free. Served
+      // under the same session mutex as every other request — a shard
+      // wedged inside a request fails its heartbeat deadline too.
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(shard.Epoch(0).value_or(0));
+      break;
+    }
+    case wire::kReqMetrics: {
+      // Observability: the cell's per-shard samples (epoch, snapshot lag,
+      // serialize latency) ship to the dialer, which prefixes them with
+      // the global shard id and appends its own wire counters.
+      auto samples = shard.Metrics(0);
+      if (!samples.ok()) {
+        wire::EncodeStatus(samples.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      wire::EncodeMetricSamples(samples.value(), w);
+      break;
+    }
+    case wire::kReqImport: {
+      // Shard handoff: install the serialized sketch states shipped from
+      // the retiring placement, then publish (ImportShardState does both).
+      wire::Reader r(payload);
+      uint32_t count = 0;
+      Status s = r.U32(&count);
+      std::vector<std::string> frames;
+      if (s.ok() && count != num_sketches) {
+        s = Status::InvalidArgument(
+            "tcp shard host: handoff frame count does not match the sketch "
+            "group");
+      }
+      for (uint32_t i = 0; s.ok() && i < count; ++i) {
+        std::string frame;
+        s = r.Str(&frame);
+        if (s.ok()) frames.push_back(std::move(frame));
+      }
+      if (s.ok()) s = r.ExpectEnd();
+      if (s.ok()) s = shard.ImportShardState(0, frames);
+      wire::EncodeStatus(s, w);
+      w->U64(shard.Epoch(0).value_or(0));
+      break;
+    }
+    default:
+      wire::EncodeStatus(
+          Status::InvalidArgument("tcp shard host: unknown request type " +
+                                  std::to_string(int(type))),
+          w);
+      break;
+  }
 }
 
 }  // namespace
@@ -293,8 +469,9 @@ Result<std::unique_ptr<TcpShardHost>> TcpShardHost::Start(
   host->listen_fd_ = fd;
   host->port_ = ntohs(bound.sin_port);
 
-  // Same birth-armed crash spec as ShardServer, so env-driven crash drills
-  // cover the TCP transport without test changes.
+  // Crash injection armed at birth: WBS_ENGINE_CRASH="after=N[,torn]".
+  // Any other value of the variable (e.g. "replay", which the test util
+  // consumes to drive failover drills) leaves the host healthy.
   int64_t crash_after = -1;
   bool crash_torn = false;
   if (ParseCrashEnvSpec(std::getenv("WBS_ENGINE_CRASH"), &crash_after,
@@ -358,9 +535,10 @@ void TcpShardHost::ServeConn(Conn* conn) {
     Status s = wire::ReadFrameFd(fd, &frame_buf, &type, &payload);
     if (!s.ok()) break;
 
-    // Crash threshold accounting, mirroring ShardServer: the frame that
-    // crosses the threshold is read but never answered, and the whole host
-    // (listener included) goes dark.
+    // Crash threshold accounting: the frame that crosses the threshold is
+    // read but never answered — exactly the window a real process crash
+    // between recv and send leaves behind — and the whole host (listener
+    // included) goes dark.
     const int64_t served = 1 + frames_served_.fetch_add(1);
     const int64_t crash_at = crash_after_.load(std::memory_order_acquire);
     if (crash_at >= 0 && served >= crash_at &&
@@ -406,13 +584,12 @@ void TcpShardHost::ServeConn(Conn* conn) {
           wire::EncodeStatus(session->last_apply_status, &w);
           w.U64(session->cell->Epoch(0).value_or(0));
         } else {
-          DispatchShardRequest(*session->cell, session->num_sketches,
-                               wire::kReqApply, payload.substr(8), &w);
-          wire::Reader resp_r(w.data());
-          Status applied;
-          (void)wire::DecodeStatus(&resp_r, &applied);
+          const Status applied =
+              ApplyUpdates(*session->cell, payload.substr(sizeof(seq)));
           session->last_applied_seq = seq;
           session->last_apply_status = applied;
+          wire::EncodeStatus(applied, &w);
+          w.U64(session->cell->Epoch(0).value_or(0));
         }
       } else {
         DispatchShardRequest(*session->cell, session->num_sketches, type,

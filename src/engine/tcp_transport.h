@@ -1,14 +1,15 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
 // TCP shard transport — the listener/dialer pair that turns the engine's
-// wire protocol into a real multi-process system.
-//
-// Everything below shard_server.h's request dispatch is transport-agnostic
-// by construction; what this header adds is the transport itself:
+// wire protocol into a real multi-process system. It is the engine's only
+// remote transport:
 //
 //   * `TcpShardHost` — a TCP listener (SO_REUSEADDR, TCP_NODELAY) serving
-//     the ShardServer data/control protocol to any number of connections.
-//     One host can serve MANY shards: each shard is a session keyed by a
+//     the shard data/control protocol to any number of connections: the
+//     data channel carries applies and handoff imports, the control
+//     channel flush/snapshot/summary/space/metrics/heartbeat requests.
+//     Every reply leads with a Status; a failed request answers with it
+//     and the connection stays usable. One host can serve MANY shards: each shard is a session keyed by a
 //     client-chosen 64-bit token, created on the first kReqHello that
 //     carries the shard's spec (sketch names + resolved config). This is
 //     the core of the standalone `engine_shardd` daemon, and also runs
@@ -33,12 +34,14 @@
 //     sequence from cache without re-applying, so a dialer that lost the
 //     response to an applied batch resyncs on reconnect with zero double
 //     counts and zero lost acked updates. The hello reply's
-//     last_applied_seq tells the dialer which case it is in.
+//     last_applied_seq tells the dialer which case it is in. An
+//     unsequenced kReqApply is answered InvalidArgument and applies
+//     nothing, so no batch can bypass the cursor.
 //
 // The dialer half (`TcpRemoteBackend`, remote_backend.h) reconnects with
 // bounded retry/backoff inside each call's deadline instead of poisoning
 // the channel — only a peer that stays unreachable past the deadline
-// surfaces Unavailable, which feeds the PR 7 supervision path unchanged.
+// surfaces Unavailable, which feeds the engine's supervision path.
 
 #ifndef WBS_ENGINE_TCP_TRANSPORT_H_
 #define WBS_ENGINE_TCP_TRANSPORT_H_
@@ -68,7 +71,8 @@ inline constexpr uint8_t kTcpProtocolVersion = 1;
 
 /// Everything a host needs to build a shard cell on first contact: the
 /// sketch group and the shard's ALREADY-RESOLVED config (the dialer derives
-/// the shard seed via ShardConfigFor, exactly like the loopback client).
+/// the shard seed via ShardConfigFor; the host must not re-derive it, or a
+/// relocated shard would sample differently than its local twin).
 struct TcpShardSpec {
   std::vector<std::string> sketches;
   SketchConfig config;
@@ -118,10 +122,10 @@ struct TcpShardHostOptions {
 
 /// The serving half. Start() binds + listens and spawns an accept thread;
 /// each accepted connection is served by its own thread against the
-/// sessions table. Crash modes mirror ShardServer's (armable at birth via
-/// WBS_ENGINE_CRASH="after=N[,torn]") but additionally close the LISTENER,
-/// so a crashed host refuses reconnects exactly like a dead process —
-/// required for failover drills to re-home instead of resync.
+/// sessions table. Crash modes (armable at birth via
+/// WBS_ENGINE_CRASH="after=N[,torn]") kill every connection AND the
+/// listener, so a crashed host refuses reconnects exactly like a dead
+/// process — required for failover drills to re-home instead of resync.
 class TcpShardHost {
  public:
   static Result<std::unique_ptr<TcpShardHost>> Start(
@@ -145,10 +149,13 @@ class TcpShardHost {
   /// resync; nothing is lost and no re-home is needed.
   void DropConnections();
 
-  /// Crash modes (see ShardServer): the request frame that crosses the
-  /// threshold is read but never answered, every connection dies, and the
-  /// listener closes so redials are refused. Session state is kept (it is
-  /// unreachable — the point), Stop() still reclaims everything.
+  /// Crash modes: the request frame that crosses the threshold is read but
+  /// never answered, every connection dies, and the listener closes so
+  /// redials are refused. With `torn` set, a live connection first receives
+  /// a frame whose body no longer matches its checksum, so the dialer's
+  /// CRC32 check (not just EOF detection) is exercised. Session state is
+  /// kept (it is unreachable — the point), Stop() still reclaims
+  /// everything.
   void CrashAfter(int64_t n_frames, bool torn = false);
   void CrashNow(bool torn = false);
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }

@@ -63,14 +63,14 @@ class ShardBackend;
 /// host one). Views SHARE ownership of the cell: a retired placement (its
 /// shard moved away, or its peer crashed and was re-homed) lives exactly as
 /// long as the last TopologyView referencing it, then its destructor
-/// reclaims the cell — including a loopback server's threads and fds. A
+/// reclaims the cell — including a tcp shard host's threads and fds. A
 /// long-lived engine that reshards and recovers continuously therefore
 /// holds a bounded set of cells, not one per change ever made.
 struct ShardPlacement {
   std::shared_ptr<ShardBackend> backend;
   uint32_t local = 0;
   /// The backend's network endpoint for this shard ("host:port"), empty for
-  /// shards with no network home (in-process, loopback socketpairs). This is
+  /// shards with no network home (in-process). This is
   /// the supervision layer's FAILURE DOMAIN key: when one shard on an
   /// endpoint misses a heartbeat, every healthy placement sharing that
   /// endpoint goes suspect together — a dead host takes all its shards, not

@@ -18,7 +18,7 @@
 // with the buffer, and any checksum mismatch (a single corrupted byte
 // anywhere in the body fails the CRC). The same frame layout is used for
 // update batches, serialized sketch states, query answers, and the
-// request/response messages of the loopback shard server.
+// request/response messages of the tcp shard host.
 //
 // Compound codecs for the engine's value types (TurnstileUpdate batches,
 // SketchSummary, Status) live here too, so every backend and the tests
@@ -53,7 +53,7 @@ enum FrameType : uint8_t {
   kUpdateBatch = 2,   ///< a batch of turnstile updates
   kSummary = 3,       ///< a serialized SketchSummary
 
-  kReqApply = 32,     ///< apply an update batch to the shard
+  kReqApply = 32,     ///< unsequenced apply: rejected, send kReqApplySeq
   kReqFlush = 33,     ///< publish the shard's snapshot if it lags
   // 34 was kReqEpoch (epochs now ride on replies); retired, never reuse.
   kReqSnapshot = 35,  ///< fetch (epoch, serialized state) of one sketch
@@ -64,7 +64,7 @@ enum FrameType : uint8_t {
   kReqMetrics = 40,   ///< read the shard's metric samples (observability)
   kReqHeartbeat = 41, ///< liveness probe: responds OK + current epoch
   kReqHello = 42,     ///< TCP session handshake (tcp_transport.h layout)
-  kReqApplySeq = 43,  ///< kReqApply prefixed with a u64 apply sequence number
+  kReqApplySeq = 43,  ///< u64 apply sequence number + an update batch
 
   kResp = 64,         ///< response: Status followed by request-specific data
 };

@@ -10,7 +10,7 @@
 //   * a slot move is ROUTING-ONLY: summaries right after a MoveSlots are
 //     bit-identical to right before for all six builtin families (no
 //     sketch state moves — the source keeps its frozen prefix
-//     merge-visible), across in-process, loopback, and TCP placements;
+//     merge-visible), across in-process, TCP, and mixed placements;
 //   * a run that peels slots mid-ingest and keeps ingesting ends
 //     bit-identical to a never-moved reference for the linear families
 //     (ams_f2, sis_l0, rank_decision), across all three placements —
@@ -74,11 +74,14 @@ struct BackendCase {
 };
 
 /// The three placements slot moves must be transparent to. TCP here is the
-/// self-hosted factory: every shard behind a real localhost socket.
+/// self-hosted factory: every shard behind a real localhost socket; mixed
+/// alternates in-process and TCP shards, so slots move across the wire
+/// boundary in both directions.
 std::vector<BackendCase> SlotMovePlacements() {
   return {{"inprocess", InProcessBackendFactory()},
-          {"loopback", LoopbackBackendFactory()},
-          {"tcp", TcpBackendFactory()}};
+          {"tcp", TcpBackendFactory()},
+          {"mixed", CompositeBackendFactory(
+                        {InProcessBackendFactory(), TcpBackendFactory()})}};
 }
 
 /// Element-wise bit-identity of two summaries.
@@ -567,14 +570,14 @@ TEST(AutoscaleTest, DeadShardNeverPickedAsDestination) {
   const uint64_t universe = 1 << 12;
   SketchConfig cfg = TestConfig(universe, 101);
 
-  // Loopback shards with heartbeat supervision and NO auto-recovery: the
+  // TCP shards with heartbeat supervision and NO auto-recovery: the
   // crashed shard stays visibly dead for the whole scenario.
   ClientOptions opts;
   opts.ingest.num_shards = 3;
   opts.ingest.num_threads = 2;
   opts.ingest.sketches = {"ams_f2"};
   opts.ingest.config = cfg;
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   opts.ingest.slot_sample_shift = 1;
   opts.ingest.failover.heartbeat_interval_ms = 10;
   opts.ingest.failover.heartbeat_timeout_ms = 50;
@@ -634,7 +637,7 @@ TEST(AutoscaleTest, DeadShardNeverPickedAsDestination) {
   EXPECT_EQ(decision.dest, 2u) << "dead shard selected as destination";
 
   // Rescue the dead shard so teardown is a clean, loss-free engine.
-  ASSERT_TRUE(client->RecoverShard(1, LoopbackBackendFactory()).ok());
+  ASSERT_TRUE(client->RecoverShard(1, TcpBackendFactory()).ok());
   EXPECT_EQ(client->Health(1).health, ShardHealth::kHealthy);
   ASSERT_TRUE(client->Finish().ok());
 }

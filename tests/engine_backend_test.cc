@@ -2,14 +2,16 @@
 //
 // The pluggable ShardBackend boundary:
 //
-//   * InProcessBackend vs LoopbackRemoteBackend equivalence — the same
+//   * InProcessBackend vs the tcp remote backend equivalence — the same
 //     single-producer submissions must produce BIT-IDENTICAL answers for
 //     the state-mergeable families (and, in this controlled setting, for
-//     the sampling families too: the server replays the identical per-shard
+//     the sampling families too: the host replays the identical per-shard
 //     substreams with identical derived seeds) on Zipf / planted / churn
 //     workloads, plus equal per-shard summaries and space accounting;
-//   * quiescence-free typed queries racing producers over the loopback
-//     wire (the TSan target for the socket path);
+//   * backend name resolution (BackendFactoryByName), which backs the
+//     WBS_ENGINE_BACKEND selection and --backend= flags;
+//   * quiescence-free typed queries racing producers over the tcp wire
+//     (the TSan target for the socket path);
 //   * ticket-aware flow control: the max_inflight_bytes valve blocks
 //     Submit and fails TrySubmit fast, deterministically pinned with a
 //     gate sketch that parks the worker inside ApplyBatch.
@@ -55,83 +57,11 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
 
 // ------------------------------------------------- cross-backend equality --
 
-/// Replays `s` through one client per backend (single producer, so ticket
-/// order is submission order on both) and requires bit-identical merged
-/// answers, per-shard live summaries, and space accounting.
-void CheckBackendsAgree(const stream::TurnstileStream& s,
-                        const SketchConfig& cfg,
-                        const std::vector<std::string>& sketches,
-                        size_t shards, size_t threads) {
-  auto inprocess =
-      MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
-  auto loopback =
-      MakeClient(sketches, cfg, shards, threads, LoopbackBackendFactory());
-  ASSERT_EQ(inprocess->ingestor().backend().name(), "inprocess");
-  ASSERT_EQ(loopback->ingestor().backend().name(), "loopback");
-  EXPECT_FALSE(
-      inprocess->ingestor().backend().capabilities().crosses_process_boundary);
-  EXPECT_TRUE(
-      loopback->ingestor().backend().capabilities().crosses_process_boundary);
-
-  // Opt out of env-injected replay ops (WBS_ENGINE_TOPOLOGY / WBS_ENGINE_
-  // CRASH): this harness asserts bit-identical equality BETWEEN the two
-  // backends, and a crash drill is asymmetric by design — it fires on the
-  // loopback client but is Unimplemented for in-process placements — so an
-  // injected op would make the two replays diverge rather than exercise
-  // anything. Injection coverage for these workloads lives in the dedicated
-  // churn and failover suites.
-  ASSERT_TRUE(Replay(inprocess.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(Replay(loopback.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(inprocess->Finish().ok());
-  ASSERT_TRUE(loopback->Finish().ok());
-
-  for (const std::string& name : sketches) {
-    auto h_in = inprocess->Handle(name);
-    auto h_lo = loopback->Handle(name);
-    ASSERT_TRUE(h_in.ok() && h_lo.ok()) << name;
-    auto want = inprocess->RawSummary(h_in.value());
-    auto got = loopback->RawSummary(h_lo.value());
-    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-    EXPECT_EQ(got.value().scalar, want.value().scalar) << name;
-    EXPECT_EQ(got.value().has_scalar, want.value().has_scalar) << name;
-    EXPECT_EQ(got.value().updates, want.value().updates) << name;
-    ASSERT_EQ(got.value().items.size(), want.value().items.size()) << name;
-    for (size_t i = 0; i < got.value().items.size(); ++i) {
-      EXPECT_EQ(got.value().items[i].item, want.value().items[i].item)
-          << name;
-      EXPECT_EQ(got.value().items[i].estimate, want.value().items[i].estimate)
-          << name;
-    }
-
-    // Per-shard live summaries cross the wire too (kReqSummary).
-    for (size_t shard = 0; shard < shards; ++shard) {
-      auto shard_want = inprocess->ingestor().ShardSummary(shard, name);
-      auto shard_got = loopback->ingestor().ShardSummary(shard, name);
-      ASSERT_TRUE(shard_want.ok() && shard_got.ok()) << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().scalar, shard_want.value().scalar)
-          << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().updates, shard_want.value().updates)
-          << name << "@" << shard;
-      ASSERT_EQ(shard_got.value().items.size(),
-                shard_want.value().items.size())
-          << name << "@" << shard;
-      for (size_t i = 0; i < shard_got.value().items.size(); ++i) {
-        EXPECT_EQ(shard_got.value().items[i].item,
-                  shard_want.value().items[i].item);
-        EXPECT_EQ(shard_got.value().items[i].estimate,
-                  shard_want.value().items[i].estimate);
-      }
-    }
-  }
-  EXPECT_EQ(loopback->ingestor().SpaceBits(),
-            inprocess->ingestor().SpaceBits());
-}
-
 TEST(BackendEquivalenceTest, ZipfAllFamilies) {
   const uint64_t universe = 1 << 12;
-  CheckBackendsAgree(
-      ZipfTurnstile(universe, 30000, 61), TestConfig(universe, 7),
+  CheckBackendAgreesWithInProcess(
+      TcpBackendFactory(), ZipfTurnstile(universe, 30000, 61),
+      TestConfig(universe, 7),
       {"misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"}, 4, 2);
 }
 
@@ -145,8 +75,10 @@ TEST(BackendEquivalenceTest, PlantedHeavyHitters) {
   stream::TurnstileStream s;
   s.reserve(items.size());
   for (const auto& u : items) s.push_back({u.item, 1});
-  CheckBackendsAgree(s, TestConfig(universe, 8),
-                     {"misra_gries", "robust_hh", "crhf_hh"}, 4, 2);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+                                  TestConfig(universe, 8),
+                                  {"misra_gries", "robust_hh", "crhf_hh"}, 4,
+                                  2);
 }
 
 TEST(BackendEquivalenceTest, ChurnLinearFamilies) {
@@ -154,7 +86,9 @@ TEST(BackendEquivalenceTest, ChurnLinearFamilies) {
   wbs::RandomTape tape(63);
   tape.set_logging(false);
   auto s = stream::InsertDeleteChurnStream(universe, 120, 2500, &tape);
-  CheckBackendsAgree(s, TestConfig(universe, 9), {"ams_f2", "sis_l0"}, 4, 2);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+                                  TestConfig(universe, 9),
+                                  {"ams_f2", "sis_l0"}, 4, 2);
 }
 
 TEST(BackendEquivalenceTest, RankDecision) {
@@ -165,50 +99,71 @@ TEST(BackendEquivalenceTest, RankDecision) {
   for (size_t i = 0; i < 8; ++i) {
     diag.push_back({uint64_t(i) * cfg.rank.n + i, 1});
   }
-  CheckBackendsAgree(diag, cfg, {"rank_decision"}, 2, 1);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), diag, cfg,
+                                  {"rank_decision"}, 2, 1);
 }
 
 TEST(BackendEquivalenceTest, InlineModeAndQueriesBeforeAnySubmit) {
   const std::vector<std::string> sketches = {"ams_f2", "misra_gries"};
   const SketchConfig cfg = TestConfig(1 << 10, 19);
-  // Queries on an empty loopback engine must answer like an empty local one
+  // Queries on an empty tcp engine must answer like an empty local one
   // (all shards unpublished), not error.
-  auto loopback = MakeClient(sketches, cfg, 2, 0, LoopbackBackendFactory());
+  auto tcp = MakeClient(sketches, cfg, 2, 0, TcpBackendFactory());
   auto inprocess =
       MakeClient(sketches, cfg, 2, 0, InProcessBackendFactory());
-  auto f2_lo = loopback->Handle("ams_f2").value();
+  auto f2_tcp = tcp->Handle("ams_f2").value();
   auto f2_in = inprocess->Handle("ams_f2").value();
-  auto got = loopback->QueryScalar(f2_lo);
+  auto got = tcp->QueryScalar(f2_tcp);
   auto want = inprocess->QueryScalar(f2_in);
   ASSERT_TRUE(got.ok() && want.ok());
   EXPECT_EQ(got.value().value, want.value().value);
   EXPECT_EQ(got.value().updates, want.value().updates);
 
-  // Inline mode (num_threads == 0) drives the loopback data channel from
-  // the submitting thread; answers still line up.
+  // Inline mode (num_threads == 0) drives the tcp data channel from the
+  // submitting thread; answers still line up.
   auto s = ZipfTurnstile(1 << 10, 5000, 64);
-  ASSERT_TRUE(Replay(loopback.get(), s).ok());
+  ASSERT_TRUE(Replay(tcp.get(), s).ok());
   ASSERT_TRUE(Replay(inprocess.get(), s).ok());
-  ASSERT_TRUE(loopback->Flush().ok());
+  ASSERT_TRUE(tcp->Flush().ok());
   ASSERT_TRUE(inprocess->Flush().ok());
-  got = loopback->QueryScalar(f2_lo);
+  got = tcp->QueryScalar(f2_tcp);
   want = inprocess->QueryScalar(f2_in);
   ASSERT_TRUE(got.ok() && want.ok());
   EXPECT_EQ(got.value().value, want.value().value);
   EXPECT_EQ(got.value().updates, uint64_t(s.size()));
-  ASSERT_TRUE(loopback->Finish().ok());
+  ASSERT_TRUE(tcp->Finish().ok());
   ASSERT_TRUE(inprocess->Finish().ok());
 }
 
-// Producers racing a typed-query thread across the loopback wire: no
-// errors, and the final answer matches a quiescent in-process reference
-// (TSan hunts the socket framing and server dispatch here).
-TEST(BackendEquivalenceTest, LoopbackQueriesRaceProducersSafely) {
+// The names WBS_ENGINE_BACKEND and --backend= accept are exactly
+// inprocess | mixed | tcp | tcp:HOST:PORT,...; anything else (an unknown
+// name, an empty or portless endpoint in a tcp: list) fails loudly
+// instead of silently selecting a default.
+TEST(BackendNameTest, ResolvesKnownNamesAndRejectsTheRest) {
+  for (const char* name :
+       {"", "inprocess", "mixed", "tcp", "tcp:127.0.0.1:7000",
+        "tcp:127.0.0.1:7000,127.0.0.1:7001"}) {
+    auto factory = BackendFactoryByName(name);
+    EXPECT_TRUE(factory.ok()) << '"' << name << "\": "
+                              << factory.status().ToString();
+  }
+  for (const char* name : {"loopback", "tcp:", "tcp:h:1,", "tcp:h", "udp"}) {
+    auto factory = BackendFactoryByName(name);
+    ASSERT_FALSE(factory.ok()) << '"' << name << '"';
+    EXPECT_EQ(factory.status().code(), Status::Code::kInvalidArgument)
+        << '"' << name << "\": " << factory.status().ToString();
+  }
+}
+
+// Producers racing a typed-query thread across the tcp wire: no errors,
+// and the final answer matches a quiescent in-process reference (TSan
+// hunts the socket framing and host dispatch here).
+TEST(BackendEquivalenceTest, TcpQueriesRaceProducersSafely) {
   const uint64_t universe = 1 << 12;
   auto s = ZipfTurnstile(universe, 40000, 65);
   const SketchConfig cfg = TestConfig(universe, 101);
   auto client =
-      MakeClient({"ams_f2", "sis_l0"}, cfg, 4, 2, LoopbackBackendFactory());
+      MakeClient({"ams_f2", "sis_l0"}, cfg, 4, 2, TcpBackendFactory());
   auto f2 = client->Handle("ams_f2").value();
   auto l0 = client->Handle("sis_l0").value();
 
@@ -314,10 +269,6 @@ TEST(RemoteEpochTest, TcpCacheHitsSendNoFrames) {
   CheckCacheHitsSendNoFrames(TcpBackendFactory());
 }
 
-TEST(RemoteEpochTest, LoopbackCacheHitsSendNoFrames) {
-  CheckCacheHitsSendNoFrames(LoopbackBackendFactory());
-}
-
 /// Every per-shard batch publishes (snapshot_min_updates = 0), so once a
 /// ticket completes, the very next query must fold every update submitted
 /// so far — with no Flush. This pins "the ack's epoch is recorded before
@@ -353,10 +304,6 @@ void CheckAckEpochIsVisibleToNextQuery(const std::string& backend) {
 
 TEST(RemoteEpochTest, TcpAckEpochIsVisibleToNextQuery) {
   CheckAckEpochIsVisibleToNextQuery("tcp");
-}
-
-TEST(RemoteEpochTest, LoopbackAckEpochIsVisibleToNextQuery) {
-  CheckAckEpochIsVisibleToNextQuery("loopback");
 }
 
 TEST(RemoteEpochTest, MixedAckEpochIsVisibleToNextQuery) {
@@ -463,8 +410,8 @@ std::unique_ptr<Client> MakeGatedClient(size_t max_inflight_tickets,
   opts.ingest.max_inflight_tickets = max_inflight_tickets;
   opts.ingest.max_inflight_bytes = max_inflight_bytes;
   // The gate parks the worker inside the backend, so keep this test on the
-  // in-process backend regardless of WBS_ENGINE_BACKEND (under loopback the
-  // park happens on a server thread; semantics hold but Finish() ordering
+  // in-process backend regardless of WBS_ENGINE_BACKEND (under tcp the
+  // park happens on a host thread; semantics hold but Finish() ordering
   // in the teardown path would depend on gate state).
   opts.ingest.backend = InProcessBackendFactory();
   auto client = Client::Create(opts);
@@ -555,10 +502,10 @@ TEST(FlowControlTest, OversizedBatchIsAdmittedWhenIdle) {
   ASSERT_TRUE(client->Finish().ok());
 }
 
-TEST(BackendContractTest, SerializationlessSketchFailsLoopbackQueries) {
+TEST(BackendContractTest, SerializationlessSketchFailsTcpQueries) {
   // A custom sketch without SerializeState/DeserializeState works on the
   // in-process backend but cannot cross a remote shard boundary: the
-  // loopback engine must surface Unimplemented at snapshot-query time —
+  // tcp engine must surface Unimplemented at snapshot-query time —
   // never a silent empty answer.
   EXPECT_TRUE(RegisterGateSketch());  // gate_sketch has no wire format
   ClientOptions opts;
@@ -566,11 +513,11 @@ TEST(BackendContractTest, SerializationlessSketchFailsLoopbackQueries) {
   opts.ingest.num_threads = 0;
   opts.ingest.sketches = {"gate_sketch"};
   opts.ingest.config = TestConfig(1 << 10, 11);
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   auto client = Client::Create(opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client.value()->Submit(FourUpdates()).ok());
-  ASSERT_TRUE(client.value()->Flush().ok());  // server-side publish is fine
+  ASSERT_TRUE(client.value()->Flush().ok());  // host-side publish is fine
   auto handle = client.value()->Handle("gate_sketch").value();
   auto scalar = client.value()->QueryScalar(handle);
   ASSERT_FALSE(scalar.ok());
@@ -589,7 +536,7 @@ TEST(BackendContractTest, FailedMetricsPollIsCountedNotSilent) {
   opts.ingest.num_threads = 1;
   opts.ingest.sketches = {"ams_f2"};
   opts.ingest.config = TestConfig(1 << 10, 23);
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   // Supervision on so the dead placement degrades instead of poisoning
   // the pipeline at Finish(); no auto-recovery — the socket must STAY
   // closed for the polls below.

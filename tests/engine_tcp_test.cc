@@ -10,8 +10,9 @@
 //     NotFound, so a restarted daemon surfaces as a dead peer instead of
 //     silently serving an empty shard);
 //   * exactly-once applies — a replayed kReqApplySeq sequence answers from
-//     the cached status without re-applying (epoch does not advance), and
-//     the hello reply's last_applied_seq reports the resync cursor;
+//     the cached status without re-applying (epoch does not advance), the
+//     hello reply's last_applied_seq reports the resync cursor, and an
+//     unsequenced kReqApply is refused without touching the shard;
 //   * transient partition — severed connections reconnect and resync with
 //     zero answer divergence, zero accounted loss, and NO topology
 //     generation bump (a partition is not a re-home);
@@ -68,74 +69,11 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
 
 // ------------------------------------------------- cross-backend equality --
 
-/// Replays `s` through an in-process client and a self-hosted TCP client
-/// (every shard behind a real localhost socket) and requires bit-identical
-/// merged answers, per-shard live summaries, and space accounting.
-void CheckTcpAgreesWithInProcess(const stream::TurnstileStream& s,
-                                 const SketchConfig& cfg,
-                                 const std::vector<std::string>& sketches,
-                                 size_t shards, size_t threads) {
-  auto inprocess =
-      MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
-  auto tcp = MakeClient(sketches, cfg, shards, threads, TcpBackendFactory());
-  ASSERT_EQ(tcp->ingestor().backend().name(), "tcp");
-  EXPECT_TRUE(
-      tcp->ingestor().backend().capabilities().crosses_process_boundary);
-  // Self-hosted placements report a dialable failure-domain key.
-  EXPECT_NE(tcp->ingestor().backend().Endpoint(0), "");
-
-  // Env-injected replay ops disabled for the same reason as the loopback
-  // equivalence harness: a crash drill is asymmetric between the two
-  // backends by design, so it would make the replays diverge.
-  ASSERT_TRUE(Replay(inprocess.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(Replay(tcp.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(inprocess->Finish().ok());
-  ASSERT_TRUE(tcp->Finish().ok());
-
-  for (const std::string& name : sketches) {
-    auto h_in = inprocess->Handle(name);
-    auto h_tc = tcp->Handle(name);
-    ASSERT_TRUE(h_in.ok() && h_tc.ok()) << name;
-    auto want = inprocess->RawSummary(h_in.value());
-    auto got = tcp->RawSummary(h_tc.value());
-    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-    EXPECT_EQ(got.value().scalar, want.value().scalar) << name;
-    EXPECT_EQ(got.value().has_scalar, want.value().has_scalar) << name;
-    EXPECT_EQ(got.value().updates, want.value().updates) << name;
-    ASSERT_EQ(got.value().items.size(), want.value().items.size()) << name;
-    for (size_t i = 0; i < got.value().items.size(); ++i) {
-      EXPECT_EQ(got.value().items[i].item, want.value().items[i].item)
-          << name;
-      EXPECT_EQ(got.value().items[i].estimate, want.value().items[i].estimate)
-          << name;
-    }
-    for (size_t shard = 0; shard < shards; ++shard) {
-      auto shard_want = inprocess->ingestor().ShardSummary(shard, name);
-      auto shard_got = tcp->ingestor().ShardSummary(shard, name);
-      ASSERT_TRUE(shard_want.ok() && shard_got.ok()) << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().scalar, shard_want.value().scalar)
-          << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().updates, shard_want.value().updates)
-          << name << "@" << shard;
-      ASSERT_EQ(shard_got.value().items.size(),
-                shard_want.value().items.size())
-          << name << "@" << shard;
-      for (size_t i = 0; i < shard_got.value().items.size(); ++i) {
-        EXPECT_EQ(shard_got.value().items[i].item,
-                  shard_want.value().items[i].item);
-        EXPECT_EQ(shard_got.value().items[i].estimate,
-                  shard_want.value().items[i].estimate);
-      }
-    }
-  }
-  EXPECT_EQ(tcp->ingestor().SpaceBits(), inprocess->ingestor().SpaceBits());
-}
-
 TEST(TcpEquivalenceTest, ZipfAllFamilies) {
   const uint64_t universe = 1 << 12;
-  CheckTcpAgreesWithInProcess(
-      ZipfTurnstile(universe, 30000, 71), TestConfig(universe, 21),
+  CheckBackendAgreesWithInProcess(
+      TcpBackendFactory(), ZipfTurnstile(universe, 30000, 71),
+      TestConfig(universe, 21),
       {"misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"}, 4, 2);
 }
 
@@ -149,8 +87,10 @@ TEST(TcpEquivalenceTest, PlantedHeavyHitters) {
   stream::TurnstileStream s;
   s.reserve(items.size());
   for (const auto& u : items) s.push_back({u.item, 1});
-  CheckTcpAgreesWithInProcess(s, TestConfig(universe, 22),
-                              {"misra_gries", "robust_hh", "crhf_hh"}, 4, 2);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+                                  TestConfig(universe, 22),
+                                  {"misra_gries", "robust_hh", "crhf_hh"}, 4,
+                                  2);
 }
 
 TEST(TcpEquivalenceTest, ChurnLinearFamilies) {
@@ -158,8 +98,9 @@ TEST(TcpEquivalenceTest, ChurnLinearFamilies) {
   wbs::RandomTape tape(73);
   tape.set_logging(false);
   auto s = stream::InsertDeleteChurnStream(universe, 120, 2500, &tape);
-  CheckTcpAgreesWithInProcess(s, TestConfig(universe, 23),
-                              {"ams_f2", "sis_l0"}, 4, 2);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+                                  TestConfig(universe, 23),
+                                  {"ams_f2", "sis_l0"}, 4, 2);
 }
 
 TEST(TcpEquivalenceTest, RankDecision) {
@@ -170,7 +111,8 @@ TEST(TcpEquivalenceTest, RankDecision) {
   for (size_t i = 0; i < 8; ++i) {
     diag.push_back({uint64_t(i) * cfg.rank.n + i, 1});
   }
-  CheckTcpAgreesWithInProcess(diag, cfg, {"rank_decision"}, 2, 1);
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), diag, cfg,
+                                  {"rank_decision"}, 2, 1);
 }
 
 // ----------------------------------------------------- handshake contract --
@@ -316,24 +258,32 @@ Status DialHello(uint16_t port, uint64_t token, bool has_spec,
   return r.ExpectEnd();
 }
 
+/// Sends one frame on an established connection and returns the reply's
+/// decoded Status; `epoch` receives the u64 that follows it, if any.
+Status Request(int fd, uint8_t type, std::string_view payload,
+               uint64_t* epoch) {
+  Status s = wire::WriteFrameFd(fd, type, payload);
+  std::string buf;
+  uint8_t resp_type = 0;
+  std::string_view resp;
+  if (s.ok()) s = wire::ReadFrameFdTimeout(fd, 5000, &buf, &resp_type, &resp);
+  if (!s.ok()) return s;
+  wire::Reader r(resp);
+  Status remote;
+  if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
+  if (r.remaining() >= sizeof(*epoch)) (void)r.U64(epoch);
+  return remote;
+}
+
 /// Sends one kReqApplySeq frame and returns the epoch in the OK reply.
 Result<uint64_t> ApplySeq(int fd, uint64_t seq,
                           const stream::TurnstileStream& batch) {
   wire::Writer w;
   w.U64(seq);
   wire::EncodeUpdates(batch.data(), batch.size(), &w);
-  Status s = wire::WriteFrameFd(fd, wire::kReqApplySeq, w.Take());
-  std::string buf;
-  uint8_t type = 0;
-  std::string_view resp;
-  if (s.ok()) s = wire::ReadFrameFdTimeout(fd, 5000, &buf, &type, &resp);
-  if (!s.ok()) return s;
-  wire::Reader r(resp);
-  Status remote;
-  if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
-  if (!remote.ok()) return remote;
   uint64_t epoch = 0;
-  if (Status ds = r.U64(&epoch); !ds.ok()) return ds;
+  Status s = Request(fd, wire::kReqApplySeq, w.data(), &epoch);
+  if (!s.ok()) return s;
   return epoch;
 }
 
@@ -373,6 +323,45 @@ TEST(TcpExactlyOnceTest, ReplayedSequenceIsNotReapplied) {
   EXPECT_EQ(re.hello.last_applied_seq, 2u);
   EXPECT_EQ(re.hello.epoch, 2u);
   EXPECT_EQ(host.value()->sessions(), 1u);
+}
+
+TEST(TcpExactlyOnceTest, UnsequencedApplyIsRejected) {
+  auto host = TcpShardHost::Start({});
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  const uint16_t port = host.value()->port();
+  const uint64_t token = 0x5EC0;
+  TcpShardSpec spec = OneSketchSpec(1 << 10, 35);
+
+  RawConn conn;
+  ASSERT_TRUE(DialHello(port, token, true, &spec, &conn).ok());
+  stream::TurnstileStream batch = {{5, 3}, {9, 1}};
+  auto e1 = ApplySeq(conn.fd, 1, batch);
+  ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+  EXPECT_EQ(e1.value(), 1u);
+
+  // A bare kReqApply would bypass the session's sequence cursor, so a
+  // dialer that lost its ack could never dedup it. The host refuses it
+  // and applies nothing: the epoch (an exact count of applied batches
+  // with snapshot_min_updates = 0) stays put.
+  wire::Writer raw;
+  wire::EncodeUpdates(batch.data(), batch.size(), &raw);
+  uint64_t epoch = 0;
+  Status s = Request(conn.fd, wire::kReqApply, raw.data(), &epoch);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+
+  // The connection stays usable, and neither the epoch nor the apply
+  // cursor moved.
+  epoch = 0;
+  s = Request(conn.fd, wire::kReqHeartbeat, "", &epoch);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(epoch, 1u);
+  auto e2 = ApplySeq(conn.fd, 2, batch);
+  ASSERT_TRUE(e2.ok()) << e2.status().ToString();
+  EXPECT_EQ(e2.value(), 2u);
+  RawConn re;
+  ASSERT_TRUE(DialHello(port, token, false, nullptr, &re).ok());
+  EXPECT_EQ(re.hello.last_applied_seq, 2u);
+  EXPECT_EQ(re.hello.epoch, 2u);
 }
 
 // --------------------------------------------------- transient partitions --

@@ -2,9 +2,9 @@
 //
 // Shared helpers for the engine test suites: Client construction with
 // EXPECT-checked creation (and an environment-selected shard backend, so CI
-// can run every engine suite once per backend — inprocess, loopback, or
-// mixed placement), and materialized-stream replay through the ticketed
-// Submit surface.
+// can run every engine suite once per backend — inprocess, tcp, or mixed
+// placement), materialized-stream replay through the ticketed Submit
+// surface, and the cross-backend bit-identity check.
 //
 // Topology churn mode: WBS_ENGINE_TOPOLOGY=churn makes every multi-batch
 // Replay() perform a live MoveShard(0) handoff halfway through the stream.
@@ -40,9 +40,9 @@
 namespace wbs::engine {
 
 /// The backend the suite runs against by default: WBS_ENGINE_BACKEND=
-/// inprocess (default) | loopback. CI sets the variable to run the engine
-/// suites once per backend; a bad value fails loudly instead of silently
-/// testing the default.
+/// inprocess (default) | mixed | tcp | tcp:HOST:PORT,... CI sets the
+/// variable to run the engine suites once per backend; a bad value fails
+/// loudly instead of silently testing the default.
 inline BackendFactory BackendFactoryFromEnv() {
   const char* env = std::getenv("WBS_ENGINE_BACKEND");
   auto factory = BackendFactoryByName(env == nullptr ? "" : env);
@@ -51,9 +51,10 @@ inline BackendFactory BackendFactoryFromEnv() {
 }
 
 /// Whether WBS_ENGINE_CRASH=replay is active (CI runs the engine suites
-/// once with it against the loopback backend, so every test path also
-/// survives a checkpoint + crash + recovery cycle). Values of the form
-/// "after=N[,torn]" arm the ShardServer directly and are not replay mode.
+/// once with it against the tcp backend, so every test path also survives
+/// a checkpoint + crash + recovery cycle). Values of the form
+/// "after=N[,torn]" arm every TcpShardHost directly and are not replay
+/// mode.
 inline bool CrashReplayEnabled() {
   const char* env = std::getenv("WBS_ENGINE_CRASH");
   return env != nullptr && std::string(env) == "replay";
@@ -159,6 +160,69 @@ inline Status Replay(Client* client, const stream::ItemStream& s,
     if (!t.ok()) return t.status();
   }
   return Status::OK();
+}
+
+/// Replays `s` through an in-process client and a client on `remote` (a
+/// backend whose shards sit behind the wire, each with a dialable
+/// endpoint) and requires bit-identical merged answers, per-shard live
+/// summaries (kReqSummary crosses the wire too), and space accounting.
+/// Single producer, so ticket order is submission order on both.
+inline void CheckBackendAgreesWithInProcess(
+    BackendFactory remote, const stream::TurnstileStream& s,
+    const SketchConfig& cfg, const std::vector<std::string>& sketches,
+    size_t shards, size_t threads) {
+  auto inprocess =
+      MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
+  auto other = MakeClient(sketches, cfg, shards, threads, std::move(remote));
+  ASSERT_EQ(inprocess->ingestor().backend().name(), "inprocess");
+  EXPECT_FALSE(
+      inprocess->ingestor().backend().capabilities().crosses_process_boundary);
+  EXPECT_TRUE(
+      other->ingestor().backend().capabilities().crosses_process_boundary);
+  EXPECT_NE(other->ingestor().backend().Endpoint(0), "");
+
+  // Opt out of env-injected replay ops (WBS_ENGINE_TOPOLOGY / WBS_ENGINE_
+  // CRASH): this harness asserts bit-identical equality BETWEEN the two
+  // backends, and a crash drill is asymmetric by design — it fires on the
+  // remote client but is Unimplemented for in-process placements — so an
+  // injected op would make the two replays diverge rather than exercise
+  // anything. Injection coverage for these workloads lives in the dedicated
+  // churn and failover suites.
+  ASSERT_TRUE(Replay(inprocess.get(), s, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(Replay(other.get(), s, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(inprocess->Finish().ok());
+  ASSERT_TRUE(other->Finish().ok());
+
+  auto expect_identical = [](const SketchSummary& got,
+                             const SketchSummary& want,
+                             const std::string& context) {
+    EXPECT_EQ(got.scalar, want.scalar) << context;
+    EXPECT_EQ(got.has_scalar, want.has_scalar) << context;
+    EXPECT_EQ(got.updates, want.updates) << context;
+    ASSERT_EQ(got.items.size(), want.items.size()) << context;
+    for (size_t i = 0; i < got.items.size(); ++i) {
+      EXPECT_EQ(got.items[i].item, want.items[i].item) << context;
+      EXPECT_EQ(got.items[i].estimate, want.items[i].estimate) << context;
+    }
+  };
+  for (const std::string& name : sketches) {
+    auto h_in = inprocess->Handle(name);
+    auto h_other = other->Handle(name);
+    ASSERT_TRUE(h_in.ok() && h_other.ok()) << name;
+    auto want = inprocess->RawSummary(h_in.value());
+    auto got = other->RawSummary(h_other.value());
+    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    expect_identical(got.value(), want.value(), name);
+    for (size_t shard = 0; shard < shards; ++shard) {
+      auto shard_want = inprocess->ingestor().ShardSummary(shard, name);
+      auto shard_got = other->ingestor().ShardSummary(shard, name);
+      ASSERT_TRUE(shard_want.ok() && shard_got.ok()) << name << "@" << shard;
+      expect_identical(shard_got.value(), shard_want.value(),
+                       name + "@" + std::to_string(shard));
+    }
+  }
+  EXPECT_EQ(other->ingestor().SpaceBits(), inprocess->ingestor().SpaceBits());
 }
 
 }  // namespace wbs::engine
