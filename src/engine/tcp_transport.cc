@@ -119,16 +119,6 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
                           uint8_t type, std::string_view payload,
                           wire::Writer* w) {
   switch (type) {
-    case wire::kReqApply: {
-      // Applies are served only sequenced (kReqApplySeq), so every applied
-      // batch moves the session's last_applied_seq cursor — an unsequenced
-      // apply would bypass exactly-once dedup across reconnects.
-      wire::EncodeStatus(
-          Status::InvalidArgument("tcp shard host: unsequenced kReqApply is "
-                                  "not served (send kReqApplySeq)"),
-          w);
-      break;
-    }
     case wire::kReqFlush: {
       wire::EncodeStatus(shard.Flush(0), w);
       w->U64(shard.Epoch(0).value_or(0));

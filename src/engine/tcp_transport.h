@@ -34,9 +34,10 @@
 //     sequence from cache without re-applying, so a dialer that lost the
 //     response to an applied batch resyncs on reconnect with zero double
 //     counts and zero lost acked updates. The hello reply's
-//     last_applied_seq tells the dialer which case it is in. An
-//     unsequenced kReqApply is answered InvalidArgument and applies
-//     nothing, so no batch can bypass the cursor.
+//     last_applied_seq tells the dialer which case it is in. The
+//     retired unsequenced apply (type 32) is answered InvalidArgument
+//     like any unknown request and applies nothing, so no batch can
+//     bypass the cursor.
 //
 // The dialer half (`TcpRemoteBackend`, remote_backend.h) reconnects with
 // bounded retry/backoff inside each call's deadline instead of poisoning

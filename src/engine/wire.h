@@ -53,7 +53,8 @@ enum FrameType : uint8_t {
   kUpdateBatch = 2,   ///< a batch of turnstile updates
   kSummary = 3,       ///< a serialized SketchSummary
 
-  kReqApply = 32,     ///< unsequenced apply: rejected, send kReqApplySeq
+  // 32 was kReqApply (unsequenced apply, no exactly-once dedup); retired,
+  // never reuse. Applies travel only as kReqApplySeq.
   kReqFlush = 33,     ///< publish the shard's snapshot if it lags
   // 34 was kReqEpoch (epochs now ride on replies); retired, never reuse.
   kReqSnapshot = 35,  ///< fetch (epoch, serialized state) of one sketch

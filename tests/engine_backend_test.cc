@@ -60,7 +60,7 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
 TEST(BackendEquivalenceTest, ZipfAllFamilies) {
   const uint64_t universe = 1 << 12;
   CheckBackendAgreesWithInProcess(
-      TcpBackendFactory(), ZipfTurnstile(universe, 30000, 61),
+      TcpBackendFactory(), "tcp", ZipfTurnstile(universe, 30000, 61),
       TestConfig(universe, 7),
       {"misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"}, 4, 2);
 }
@@ -75,7 +75,7 @@ TEST(BackendEquivalenceTest, PlantedHeavyHitters) {
   stream::TurnstileStream s;
   s.reserve(items.size());
   for (const auto& u : items) s.push_back({u.item, 1});
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", s,
                                   TestConfig(universe, 8),
                                   {"misra_gries", "robust_hh", "crhf_hh"}, 4,
                                   2);
@@ -86,7 +86,7 @@ TEST(BackendEquivalenceTest, ChurnLinearFamilies) {
   wbs::RandomTape tape(63);
   tape.set_logging(false);
   auto s = stream::InsertDeleteChurnStream(universe, 120, 2500, &tape);
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", s,
                                   TestConfig(universe, 9),
                                   {"ams_f2", "sis_l0"}, 4, 2);
 }
@@ -99,7 +99,7 @@ TEST(BackendEquivalenceTest, RankDecision) {
   for (size_t i = 0; i < 8; ++i) {
     diag.push_back({uint64_t(i) * cfg.rank.n + i, 1});
   }
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), diag, cfg,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", diag, cfg,
                                   {"rank_decision"}, 2, 1);
 }
 

@@ -11,8 +11,9 @@
 //     silently serving an empty shard);
 //   * exactly-once applies — a replayed kReqApplySeq sequence answers from
 //     the cached status without re-applying (epoch does not advance), the
-//     hello reply's last_applied_seq reports the resync cursor, and an
-//     unsequenced kReqApply is refused without touching the shard;
+//     hello reply's last_applied_seq reports the resync cursor, and the
+//     retired unsequenced apply (type 32) is refused without touching the
+//     shard;
 //   * transient partition — severed connections reconnect and resync with
 //     zero answer divergence, zero accounted loss, and NO topology
 //     generation bump (a partition is not a re-home);
@@ -72,7 +73,7 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
 TEST(TcpEquivalenceTest, ZipfAllFamilies) {
   const uint64_t universe = 1 << 12;
   CheckBackendAgreesWithInProcess(
-      TcpBackendFactory(), ZipfTurnstile(universe, 30000, 71),
+      TcpBackendFactory(), "tcp", ZipfTurnstile(universe, 30000, 71),
       TestConfig(universe, 21),
       {"misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"}, 4, 2);
 }
@@ -87,7 +88,7 @@ TEST(TcpEquivalenceTest, PlantedHeavyHitters) {
   stream::TurnstileStream s;
   s.reserve(items.size());
   for (const auto& u : items) s.push_back({u.item, 1});
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", s,
                                   TestConfig(universe, 22),
                                   {"misra_gries", "robust_hh", "crhf_hh"}, 4,
                                   2);
@@ -98,7 +99,7 @@ TEST(TcpEquivalenceTest, ChurnLinearFamilies) {
   wbs::RandomTape tape(73);
   tape.set_logging(false);
   auto s = stream::InsertDeleteChurnStream(universe, 120, 2500, &tape);
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), s,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", s,
                                   TestConfig(universe, 23),
                                   {"ams_f2", "sis_l0"}, 4, 2);
 }
@@ -111,7 +112,7 @@ TEST(TcpEquivalenceTest, RankDecision) {
   for (size_t i = 0; i < 8; ++i) {
     diag.push_back({uint64_t(i) * cfg.rank.n + i, 1});
   }
-  CheckBackendAgreesWithInProcess(TcpBackendFactory(), diag, cfg,
+  CheckBackendAgreesWithInProcess(TcpBackendFactory(), "tcp", diag, cfg,
                                   {"rank_decision"}, 2, 1);
 }
 
@@ -339,14 +340,16 @@ TEST(TcpExactlyOnceTest, UnsequencedApplyIsRejected) {
   ASSERT_TRUE(e1.ok()) << e1.status().ToString();
   EXPECT_EQ(e1.value(), 1u);
 
-  // A bare kReqApply would bypass the session's sequence cursor, so a
-  // dialer that lost its ack could never dedup it. The host refuses it
+  // Request type 32 was the unsequenced apply: a bare update batch that
+  // would bypass the session's sequence cursor, so a dialer that lost its
+  // ack could never dedup it. The value is retired; the host refuses it
   // and applies nothing: the epoch (an exact count of applied batches
   // with snapshot_min_updates = 0) stays put.
+  constexpr uint8_t kRetiredUnsequencedApply = 32;
   wire::Writer raw;
   wire::EncodeUpdates(batch.data(), batch.size(), &raw);
   uint64_t epoch = 0;
-  Status s = Request(conn.fd, wire::kReqApply, raw.data(), &epoch);
+  Status s = Request(conn.fd, kRetiredUnsequencedApply, raw.data(), &epoch);
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
 
   // The connection stays usable, and neither the epoch nor the apply

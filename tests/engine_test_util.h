@@ -163,18 +163,20 @@ inline Status Replay(Client* client, const stream::ItemStream& s,
 }
 
 /// Replays `s` through an in-process client and a client on `remote` (a
-/// backend whose shards sit behind the wire, each with a dialable
-/// endpoint) and requires bit-identical merged answers, per-shard live
-/// summaries (kReqSummary crosses the wire too), and space accounting.
-/// Single producer, so ticket order is submission order on both.
+/// backend named `expected_name` whose shards sit behind the wire, each
+/// with a dialable endpoint) and requires bit-identical merged answers,
+/// per-shard live summaries (kReqSummary crosses the wire too), and space
+/// accounting. Single producer, so ticket order is submission order on
+/// both.
 inline void CheckBackendAgreesWithInProcess(
-    BackendFactory remote, const stream::TurnstileStream& s,
-    const SketchConfig& cfg, const std::vector<std::string>& sketches,
-    size_t shards, size_t threads) {
+    BackendFactory remote, const std::string& expected_name,
+    const stream::TurnstileStream& s, const SketchConfig& cfg,
+    const std::vector<std::string>& sketches, size_t shards, size_t threads) {
   auto inprocess =
       MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
   auto other = MakeClient(sketches, cfg, shards, threads, std::move(remote));
   ASSERT_EQ(inprocess->ingestor().backend().name(), "inprocess");
+  ASSERT_EQ(other->ingestor().backend().name(), expected_name);
   EXPECT_FALSE(
       inprocess->ingestor().backend().capabilities().crosses_process_boundary);
   EXPECT_TRUE(
