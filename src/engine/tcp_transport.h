@@ -9,11 +9,12 @@
 //     data channel carries applies and handoff imports, the control
 //     channel flush/snapshot/summary/space/metrics/heartbeat requests.
 //     Every reply leads with a Status; a failed request answers with it
-//     and the connection stays usable. One host can serve MANY shards: each shard is a session keyed by a
-//     client-chosen 64-bit token, created on the first kReqHello that
-//     carries the shard's spec (sketch names + resolved config). This is
-//     the core of the standalone `engine_shardd` daemon, and also runs
-//     in-process to self-host the "tcp" backend for tests and CI.
+//     and the connection stays usable. One host can serve MANY shards:
+//     each shard is a session keyed by a client-chosen 64-bit token,
+//     created on the first kReqHello that carries the shard's spec
+//     (sketch names + resolved config). This is the core of the
+//     standalone `engine_shardd` daemon, and also runs in-process to
+//     self-host the "tcp" backend for tests and CI.
 //
 //   * the `kReqHello` handshake — the first frame on every connection:
 //
