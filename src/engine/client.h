@@ -131,10 +131,10 @@ class Client {
   /// Wait/TryWait report a ticket done, every earlier ticket is done too.
   Result<IngestTicket> Submit(const stream::TurnstileUpdate* updates,
                               size_t count) {
-    return ingestor_->SubmitAsync(updates, count);
+    return ingestor_->SubmitAsync(ProducerSession{}, updates, count);
   }
   Result<IngestTicket> Submit(const stream::TurnstileStream& s) {
-    return ingestor_->SubmitAsync(s);
+    return ingestor_->SubmitAsync(ProducerSession{}, s.data(), s.size());
   }
   Result<IngestTicket> Submit(const ProducerSession& session,
                               const stream::TurnstileUpdate* updates,
@@ -152,10 +152,10 @@ class Client {
   /// the retry policy — the fail-fast half of ticket-aware flow control.
   Result<IngestTicket> TrySubmit(const stream::TurnstileUpdate* updates,
                                  size_t count) {
-    return ingestor_->TrySubmitAsync(updates, count);
+    return ingestor_->TrySubmitAsync(ProducerSession{}, updates, count);
   }
   Result<IngestTicket> TrySubmit(const stream::TurnstileStream& s) {
-    return ingestor_->TrySubmitAsync(s);
+    return ingestor_->TrySubmitAsync(ProducerSession{}, s.data(), s.size());
   }
   Result<IngestTicket> TrySubmit(const ProducerSession& session,
                                  const stream::TurnstileUpdate* updates,
@@ -170,10 +170,10 @@ class Client {
   /// Insertion-only convenience: each item becomes a delta-1 update.
   Result<IngestTicket> SubmitItems(const stream::ItemUpdate* items,
                                    size_t count) {
-    return ingestor_->SubmitItemsAsync(items, count);
+    return ingestor_->SubmitItemsAsync(ProducerSession{}, items, count);
   }
   Result<IngestTicket> SubmitItems(const stream::ItemStream& s) {
-    return ingestor_->SubmitItemsAsync(s);
+    return ingestor_->SubmitItemsAsync(ProducerSession{}, s.data(), s.size());
   }
 
   /// Blocks until `ticket` (and every earlier ticket) is applied; returns
@@ -253,8 +253,8 @@ class Client {
   // ---- fault tolerance ----------------------------------------------------
   //
   // See FailoverOptions (sharded_ingestor.h) for the model: heartbeat
-  // supervision, barrier checkpoints, and MoveShard-based recovery with
-  // exact bounded-loss accounting.
+  // supervision, barrier checkpoints, and recovery through the
+  // cell-replace step MoveShard uses, with exact bounded-loss accounting.
 
   /// Checkpoints every reachable shard's full state at a batch barrier.
   Status Checkpoint() { return ingestor_->Checkpoint(); }

@@ -7,6 +7,7 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <type_traits>
 
 #include "common/numa.h"
 #include "common/simd.h"
@@ -59,6 +60,13 @@ uint64_t ElapsedUs(MonoClock::time_point t0) {
   return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
                       MonoClock::now() - t0)
                       .count());
+}
+
+/// True when any captured frame carries state (a shard that never
+/// published serializes to empty frames).
+bool HasState(const std::vector<std::string>& frames) {
+  return std::any_of(frames.begin(), frames.end(),
+                     [](const std::string& frame) { return !frame.empty(); });
 }
 
 }  // namespace
@@ -292,17 +300,8 @@ void ShardedIngestor::RouterLoop() {
 
     if (ticket.control != nullptr) {
       // Barrier: everything dispatched so far must be applied before the
-      // topology mutates (MoveShard serializes a quiescent shard). The
-      // barrier latency includes the worker drain — that wait IS the cost
-      // a control op imposes on the pipeline.
-      const auto t0 = rm == nullptr ? MonoClock::time_point{}
-                                    : MonoClock::now();
-      DrainWorkers();
-      ticket.control->result = ticket.control->op();
-      if (rm != nullptr) {
-        rm->barriers_total->Inc();
-        rm->barrier_us->Record(ElapsedUs(t0));
-      }
+      // topology mutates (MoveShard serializes a quiescent shard).
+      ticket.control->result = RunDrained(ticket.control->op);
       CompleteTicket(*ticket.state);
       continue;
     }
@@ -379,43 +378,8 @@ void ShardedIngestor::WorkerLoop(Worker* worker) {
     // deadlocks on backpressure and every ticket still completes) but stop
     // mutating state.
     if (!has_error_.load(std::memory_order_acquire)) {
-      // Degraded mode: a shard already declared dead drops its sub-batches
-      // without touching the backend (fast, and an unreachable remote
-      // channel would only fail again). The drops are counted — they become
-      // updates_lost_total at the next recovery.
-      if (job.health != nullptr &&
-          job.health->health.load(std::memory_order_acquire) ==
-              uint8_t(ShardHealth::kDead)) {
-        job.health->dropped.fetch_add(job.updates.size(),
-                                      std::memory_order_relaxed);
-      } else {
-        const auto t0 = job.metrics == nullptr ? MonoClock::time_point{}
-                                               : MonoClock::now();
-        Status s = job.backend->ApplyBatch(job.local, job.updates.data(),
-                                           job.updates.size());
-        if (s.ok()) {
-          if (job.health != nullptr) {
-            job.health->applied.fetch_add(job.updates.size(),
-                                          std::memory_order_relaxed);
-          }
-          if (job.metrics != nullptr) {
-            RecordApply(job.metrics, job.updates.size(), ElapsedUs(t0));
-          }
-        } else if (job.health != nullptr && supervision_enabled() &&
-                   s.code() == Status::Code::kUnavailable) {
-          // Supervised engines degrade instead of poisoning the pipeline:
-          // the placement is unreachable, so this batch is dropped (counted)
-          // and the shard flagged for the supervisor to confirm and re-home.
-          job.health->dropped.fetch_add(job.updates.size(),
-                                        std::memory_order_relaxed);
-          uint8_t healthy = uint8_t(ShardHealth::kHealthy);
-          job.health->health.compare_exchange_strong(
-              healthy, uint8_t(ShardHealth::kSuspect),
-              std::memory_order_acq_rel);
-        } else {
-          RecordError(s);
-        }
-      }
+      (void)ApplyShardBatch(*job.backend, job.local, job.updates, job.metrics,
+                            *job.health);
     }
     if (job.ticket != nullptr &&
         job.ticket->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -436,50 +400,43 @@ Status ShardedIngestor::PreSubmit() const {
   return FirstError();
 }
 
-Result<IngestTicket> ShardedIngestor::ApplyInline(const TopologyView& view,
-                                                  size_t count) {
-  // Inline mode (no workers): scatter_ already holds the sub-batches; apply
-  // them synchronously under submit_mu_ (held by the caller), so concurrent
-  // producers serialize and apply order is their arrival order. The
-  // returned ticket is the always-complete seq 0 — by the time SubmitAsync
-  // returns, the batch IS ingested, and errors surface synchronously. No
-  // ticket state is allocated: the unbatched single-producer path stays as
-  // cheap as the pre-ticket engine.
-  updates_submitted_.fetch_add(count, std::memory_order_acq_rel);
-  RefreshShardMetricsCache(&inline_shard_metrics_, scatter_.size());
-  for (size_t shard = 0; shard < scatter_.size(); ++shard) {
-    if (scatter_[shard].empty()) continue;
-    const ShardPlacement placement = view.placements[shard];
-    ShardHealthState* health = &HealthFor(shard);
-    if (health->health.load(std::memory_order_acquire) ==
-        uint8_t(ShardHealth::kDead)) {
-      health->dropped.fetch_add(scatter_[shard].size(),
-                                std::memory_order_relaxed);
-      continue;  // degraded: drop, count, keep the other shards flowing
-    }
-    ShardIngestMetrics* m =
-        metrics_ == nullptr ? nullptr : inline_shard_metrics_[shard];
-    const auto t0 = m == nullptr ? MonoClock::time_point{} : MonoClock::now();
-    Status s = placement.backend->ApplyBatch(
-        placement.local, scatter_[shard].data(), scatter_[shard].size());
-    if (!s.ok()) {
-      if (supervision_enabled() && s.code() == Status::Code::kUnavailable) {
-        health->dropped.fetch_add(scatter_[shard].size(),
-                                  std::memory_order_relaxed);
-        uint8_t healthy = uint8_t(ShardHealth::kHealthy);
-        health->health.compare_exchange_strong(healthy,
-                                               uint8_t(ShardHealth::kSuspect),
-                                               std::memory_order_acq_rel);
-        continue;
-      }
-      RecordError(s);
-      return s;
-    }
-    health->applied.fetch_add(scatter_[shard].size(),
-                              std::memory_order_relaxed);
-    if (m != nullptr) RecordApply(m, scatter_[shard].size(), ElapsedUs(t0));
+Status ShardedIngestor::PreSubmitLocked(const ProducerSession& session) const {
+  Status pre = PreSubmit();
+  if (pre.ok() && session.id >= sessions_.size()) {
+    return Status::InvalidArgument("ShardedIngestor: unknown producer session");
   }
-  return IngestTicket{};
+  return pre;
+}
+
+Status ShardedIngestor::ApplyShardBatch(
+    ShardBackend& backend, uint32_t local,
+    const std::vector<stream::TurnstileUpdate>& batch, ShardIngestMetrics* m,
+    ShardHealthState& health) {
+  // Degraded mode: a shard already declared dead drops its sub-batches
+  // without touching the backend (fast, and an unreachable remote channel
+  // would only fail again). The drops are counted — they become
+  // updates_lost_total at the next recovery.
+  if (health.Is(ShardHealth::kDead)) {
+    health.dropped.fetch_add(batch.size(), std::memory_order_relaxed);
+    return Status::OK();
+  }
+  const auto t0 = m == nullptr ? MonoClock::time_point{} : MonoClock::now();
+  Status s = backend.ApplyBatch(local, batch.data(), batch.size());
+  if (s.ok()) {
+    health.applied.fetch_add(batch.size(), std::memory_order_relaxed);
+    if (m != nullptr) RecordApply(m, batch.size(), ElapsedUs(t0));
+    return s;
+  }
+  if (supervision_enabled() && s.code() == Status::Code::kUnavailable) {
+    // Supervised engines degrade instead of poisoning the pipeline: the
+    // placement is unreachable, so this batch is dropped (counted) and the
+    // shard flagged for the supervisor to confirm and re-home.
+    health.dropped.fetch_add(batch.size(), std::memory_order_relaxed);
+    health.Transition(ShardHealth::kHealthy, ShardHealth::kSuspect);
+    return Status::OK();
+  }
+  RecordError(s);
+  return s;
 }
 
 Result<IngestTicket> ShardedIngestor::EnqueueScattered(
@@ -505,8 +462,7 @@ Result<IngestTicket> ShardedIngestor::EnqueueScattered(
   if (!blocking && supervision_enabled()) {
     for (size_t shard = 0; shard < sub.size(); ++shard) {
       if (sub[shard].empty()) continue;
-      if (HealthFor(shard).health.load(std::memory_order_acquire) ==
-          uint8_t(ShardHealth::kDead)) {
+      if (HealthFor(shard).Is(ShardHealth::kDead)) {
         return Status::Unavailable("ShardedIngestor: shard " +
                                    std::to_string(shard) +
                                    " is dead (awaiting recovery)");
@@ -579,11 +535,7 @@ Result<IngestTicket> ShardedIngestor::EnqueueScattered(
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
-    Status pre = PreSubmit();  // recheck: Finish may have won the race
-    if (pre.ok() && session.id >= sessions_.size()) {
-      pre = Status::InvalidArgument(
-          "ShardedIngestor: unknown producer session");
-    }
+    Status pre = PreSubmitLocked(session);  // Finish may have won the race
     if (!pre.ok()) {
       // Release the reservation: this ticket will never exist.
       if (sm != nullptr) sm->tickets_outstanding->Add(-1);
@@ -615,45 +567,46 @@ Result<IngestTicket> ShardedIngestor::EnqueueScattered(
 Result<IngestTicket> ShardedIngestor::SubmitAsync(
     const ProducerSession& session, const stream::TurnstileUpdate* updates,
     size_t count) {
-  return SubmitScattered(session, updates, count, /*blocking=*/true);
+  return SubmitBatch(session, updates, count, /*blocking=*/true);
 }
 
 Result<IngestTicket> ShardedIngestor::TrySubmitAsync(
     const ProducerSession& session, const stream::TurnstileUpdate* updates,
     size_t count) {
-  return SubmitScattered(session, updates, count, /*blocking=*/false);
+  return SubmitBatch(session, updates, count, /*blocking=*/false);
 }
 
-void ShardedIngestor::ScatterUpdates(
-    const TopologyView& view, const stream::TurnstileUpdate* updates,
-    size_t count, std::vector<std::vector<stream::TurnstileUpdate>>* out) {
-  std::vector<std::vector<stream::TurnstileUpdate>>& buckets = *out;
-  const size_t num_slots = view.num_slots();
-  const uint32_t* slot_to_shard = view.slot_to_shard.data();
-  const bool pow2 = (num_slots & (num_slots - 1)) == 0;
-  const uint64_t mask = uint64_t(num_slots) - 1;
-  const simd::KernelDispatch& kern = simd::Kernels();
-  uint64_t items8[8];
-  uint64_t hashes8[8];
-  for (size_t base = 0; base < count; base += 8) {
-    const size_t chunk = std::min<size_t>(8, count - base);
-    for (size_t k = 0; k < chunk; ++k) items8[k] = updates[base + k].item;
-    kern.hash_items(items8, chunk, hashes8);
-    for (size_t k = 0; k < chunk; ++k) {
-      const size_t slot = pow2 ? size_t(hashes8[k] & mask)
-                               : size_t(hashes8[k] % num_slots);
-      assert(slot == TopologyView::SlotOf(updates[base + k].item, num_slots) &&
-             "SIMD scatter slot diverged from TopologyView::SlotOf");
-      buckets[slot_to_shard[slot]].push_back(updates[base + k]);
-      SampleSlotHeat(slot);
-    }
-  }
+Result<IngestTicket> ShardedIngestor::SubmitItemsAsync(
+    const ProducerSession& session, const stream::ItemUpdate* items,
+    size_t count) {
+  return SubmitBatch(session, items, count, /*blocking=*/true);
 }
 
-void ShardedIngestor::ScatterItems(
-    const TopologyView& view, const stream::ItemUpdate* items, size_t count,
+namespace {
+
+stream::TurnstileUpdate AsUpdate(const stream::TurnstileUpdate& u) {
+  return u;
+}
+stream::TurnstileUpdate AsUpdate(const stream::ItemUpdate& u) {
+  return {u.item, 1};
+}
+
+}  // namespace
+
+template <typename In>
+void ShardedIngestor::Scatter(
+    const TopologyView& view, const In* in, size_t count,
     std::vector<std::vector<stream::TurnstileUpdate>>* out) {
   std::vector<std::vector<stream::TurnstileUpdate>>& buckets = *out;
+  if (view.num_shards() == 1) {
+    if constexpr (std::is_same_v<In, stream::TurnstileUpdate>) {
+      buckets[0].assign(in, in + count);
+    } else {
+      buckets[0].reserve(count);
+      for (size_t i = 0; i < count; ++i) buckets[0].push_back(AsUpdate(in[i]));
+    }
+    return;
+  }
   const size_t num_slots = view.num_slots();
   const uint32_t* slot_to_shard = view.slot_to_shard.data();
   const bool pow2 = (num_slots & (num_slots - 1)) == 0;
@@ -663,33 +616,36 @@ void ShardedIngestor::ScatterItems(
   uint64_t hashes8[8];
   for (size_t base = 0; base < count; base += 8) {
     const size_t chunk = std::min<size_t>(8, count - base);
-    for (size_t k = 0; k < chunk; ++k) items8[k] = items[base + k].item;
+    for (size_t k = 0; k < chunk; ++k) items8[k] = in[base + k].item;
     kern.hash_items(items8, chunk, hashes8);
     for (size_t k = 0; k < chunk; ++k) {
       const size_t slot = pow2 ? size_t(hashes8[k] & mask)
                                : size_t(hashes8[k] % num_slots);
-      assert(slot == TopologyView::SlotOf(items[base + k].item, num_slots) &&
+      assert(slot == TopologyView::SlotOf(in[base + k].item, num_slots) &&
              "SIMD scatter slot diverged from TopologyView::SlotOf");
-      buckets[slot_to_shard[slot]].push_back({items[base + k].item, 1});
+      buckets[slot_to_shard[slot]].push_back(AsUpdate(in[base + k]));
       SampleSlotHeat(slot);
     }
   }
 }
 
-Result<IngestTicket> ShardedIngestor::SubmitScattered(
-    const ProducerSession& session, const stream::TurnstileUpdate* updates,
-    size_t count, bool blocking) {
+template <typename In>
+Result<IngestTicket> ShardedIngestor::SubmitBatch(
+    const ProducerSession& session, const In* in, size_t count,
+    bool blocking) {
   Status pre = PreSubmit();
   if (!pre.ok()) return pre;
   if (count == 0) return IngestTicket{};  // seq 0: always complete
 
   if (workers_.empty()) {
+    // Inline mode (no workers): scatter into the reused scratch and apply
+    // synchronously under submit_mu_, so concurrent producers serialize and
+    // apply order is their arrival order. The returned ticket is the
+    // always-complete seq 0 — by the time the submit returns, the batch IS
+    // ingested, and errors surface synchronously. No ticket state is
+    // allocated: the unbatched single-producer path stays cheap.
     std::lock_guard<std::mutex> lock(submit_mu_);
-    Status recheck = PreSubmit();
-    if (recheck.ok() && session.id >= sessions_.size()) {
-      recheck = Status::InvalidArgument(
-          "ShardedIngestor: unknown producer session");
-    }
+    Status recheck = PreSubmitLocked(session);
     if (!recheck.ok()) return recheck;
     if (metrics_ != nullptr) {
       metrics_->session(session.id)->submits_total->Inc();
@@ -697,18 +653,25 @@ Result<IngestTicket> ShardedIngestor::SubmitScattered(
     std::shared_ptr<const TopologyView> view = topology_->View();
     scatter_.resize(view->num_shards());
     for (auto& v : scatter_) v.clear();
-    if (view->num_shards() == 1) {
-      // Power-of-two capacity rounding keeps steadily growing batch sizes
-      // from reallocating the reused scratch on every submission (assign
-      // grows capacity to exactly n otherwise).
-      if (scatter_[0].capacity() < count) {
-        scatter_[0].reserve(std::bit_ceil(count));
-      }
-      scatter_[0].assign(updates, updates + count);
-    } else {
-      ScatterUpdates(*view, updates, count, &scatter_);
+    // Power-of-two capacity rounding keeps steadily growing batch sizes
+    // from reallocating the reused scratch on every submission (assign
+    // grows capacity to exactly n otherwise).
+    if (scatter_.size() == 1 && scatter_[0].capacity() < count) {
+      scatter_[0].reserve(std::bit_ceil(count));
     }
-    return ApplyInline(*view, count);
+    Scatter(*view, in, count, &scatter_);
+    updates_submitted_.fetch_add(count, std::memory_order_acq_rel);
+    RefreshShardMetricsCache(&inline_shard_metrics_, scatter_.size());
+    for (size_t shard = 0; shard < scatter_.size(); ++shard) {
+      if (scatter_[shard].empty()) continue;
+      const ShardPlacement& placement = view->placements[shard];
+      Status s = ApplyShardBatch(
+          *placement.backend, placement.local, scatter_[shard],
+          metrics_ == nullptr ? nullptr : inline_shard_metrics_[shard],
+          HealthFor(shard));
+      if (!s.ok()) return s;
+    }
+    return IngestTicket{};
   }
 
   // Scatter on the producer's thread — the parallelizable part of
@@ -716,65 +679,9 @@ Result<IngestTicket> ShardedIngestor::SubmitScattered(
   // items happens outside every engine lock. The view's generation rides
   // along so the router can re-scatter if a topology change races us.
   std::shared_ptr<const TopologyView> view = topology_->View();
-  const size_t num_shards = view->num_shards();
-  std::vector<std::vector<stream::TurnstileUpdate>> sub(num_shards);
-  if (num_shards == 1) {
-    sub[0].assign(updates, updates + count);
-  } else {
-    ScatterUpdates(*view, updates, count, &sub);
-  }
+  std::vector<std::vector<stream::TurnstileUpdate>> sub(view->num_shards());
+  Scatter(*view, in, count, &sub);
   return EnqueueScattered(session, std::move(sub), count, blocking,
-                          view->routing_generation);
-}
-
-Result<IngestTicket> ShardedIngestor::SubmitItemsAsync(
-    const ProducerSession& session, const stream::ItemUpdate* items,
-    size_t count) {
-  Status pre = PreSubmit();
-  if (!pre.ok()) return pre;
-  if (count == 0) return IngestTicket{};
-
-  // Fused conversion + scatter: each item becomes a delta-1 turnstile
-  // update directly in its shard's sub-batch (no intermediate copy).
-  if (workers_.empty()) {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    Status recheck = PreSubmit();
-    if (recheck.ok() && session.id >= sessions_.size()) {
-      recheck = Status::InvalidArgument(
-          "ShardedIngestor: unknown producer session");
-    }
-    if (!recheck.ok()) return recheck;
-    if (metrics_ != nullptr) {
-      metrics_->session(session.id)->submits_total->Inc();
-    }
-    std::shared_ptr<const TopologyView> view = topology_->View();
-    scatter_.resize(view->num_shards());
-    for (auto& v : scatter_) v.clear();
-    if (view->num_shards() == 1) {
-      if (scatter_[0].capacity() < count) {
-        scatter_[0].reserve(std::bit_ceil(count));
-      }
-      for (size_t i = 0; i < count; ++i) {
-        scatter_[0].push_back({items[i].item, 1});
-      }
-    } else {
-      ScatterItems(*view, items, count, &scatter_);
-    }
-    return ApplyInline(*view, count);
-  }
-
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  const size_t num_shards = view->num_shards();
-  std::vector<std::vector<stream::TurnstileUpdate>> sub(num_shards);
-  if (num_shards == 1) {
-    sub[0].reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      sub[0].push_back({items[i].item, 1});
-    }
-  } else {
-    ScatterItems(*view, items, count, &sub);
-  }
-  return EnqueueScattered(session, std::move(sub), count, /*blocking=*/true,
                           view->routing_generation);
 }
 
@@ -799,14 +706,7 @@ Status ShardedIngestor::RunAtBarrier(std::function<Status()> op) {
     std::lock_guard<std::mutex> lock(submit_mu_);
     Status pre = PreSubmit();
     if (!pre.ok()) return pre;
-    RouterMetrics* rm = metrics_ == nullptr ? nullptr : metrics_->router();
-    const auto t0 = rm == nullptr ? MonoClock::time_point{} : MonoClock::now();
-    Status s = op();
-    if (rm != nullptr) {
-      rm->barriers_total->Inc();
-      rm->barrier_us->Record(ElapsedUs(t0));
-    }
-    return s;
+    return RunDrained(op);
   }
   auto state = std::make_shared<TicketState>();
   auto control = std::make_shared<ControlState>();
@@ -844,6 +744,18 @@ Status ShardedIngestor::RunAtBarrier(std::function<Status()> op) {
   return wait;
 }
 
+Status ShardedIngestor::RunDrained(const std::function<Status()>& op) {
+  RouterMetrics* rm = metrics_ == nullptr ? nullptr : metrics_->router();
+  const auto t0 = rm == nullptr ? MonoClock::time_point{} : MonoClock::now();
+  DrainWorkers();
+  Status s = op();
+  if (rm != nullptr) {
+    rm->barriers_total->Inc();
+    rm->barrier_us->Record(ElapsedUs(t0));
+  }
+  return s;
+}
+
 Status ShardedIngestor::AddShards(size_t n, BackendFactory factory) {
   if (n == 0) return Status::OK();
   return RunAtBarrier([this, n, factory = std::move(factory)] {
@@ -874,28 +786,81 @@ std::vector<uint64_t> ShardedIngestor::SlotHeat() const {
   return heat;
 }
 
+Result<ShardPlacement> ShardedIngestor::PlacementOf(size_t shard,
+                                                   const char* op) const {
+  std::shared_ptr<const TopologyView> view = topology_->View();
+  if (shard >= view->num_shards()) {
+    return Status::OutOfRange(std::string("ShardedIngestor: ") + op +
+                              " id out of range");
+  }
+  return view->placements[shard];
+}
+
+Result<std::vector<std::string>> ShardedIngestor::CaptureShard(
+    const ShardPlacement& placement, Tracer::Span* move) {
+  // The caller is at a barrier, so in-flight batches are drained; publish
+  // the snapshot so the serialized state is the shard's exact live state.
+  Tracer::Span flush = move == nullptr
+                           ? Tracer::Span{}
+                           : tracer_->StartSpan("move_shard.flush", move->id());
+  Status flushed = placement.backend->Flush(placement.local);
+  if (!flushed.ok()) return flushed;
+  flush.End();
+
+  // The wire snapshot states ARE the transfer format.
+  Tracer::Span serialize =
+      move == nullptr ? Tracer::Span{}
+                      : tracer_->StartSpan("move_shard.serialize", move->id());
+  std::vector<std::string> frames;
+  frames.reserve(options_.sketches.size());
+  uint64_t state_bytes = 0;
+  for (size_t i = 0; i < options_.sketches.size(); ++i) {
+    auto snap = placement.backend->SnapshotSerialized(placement.local, i);
+    if (!snap.ok()) return snap.status();
+    state_bytes += snap.value().state.size();
+    frames.push_back(std::move(snap.value().state));
+  }
+  if (move != nullptr) {
+    serialize.Attr("state_bytes", state_bytes);
+    serialize.End();
+    move->Attr("state_bytes", state_bytes);
+  }
+  return frames;
+}
+
+Result<ShardPlacement> ShardedIngestor::FreshCell(
+    size_t shard, const BackendFactory& factory,
+    const std::vector<std::string>& frames) {
+  const BackendFactory f = factory ? factory : InProcessBackendFactory();
+  auto cell = f(CellOptions(shard));
+  if (!cell.ok()) return cell.status();
+  if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
+    return Status::Internal(
+        "ShardedIngestor: backend factory returned a mismatched cell");
+  }
+  // A shard that never ingested has no published state; it starts as an
+  // empty (but correctly seeded) cell.
+  if (HasState(frames)) {
+    Status imported = cell.value()->ImportShardState(0, frames);
+    if (!imported.ok()) return imported;
+  }
+  // The views are the cells' only owners (see ShardPlacement).
+  std::unique_ptr<ShardBackend> owned = std::move(cell).value();
+  std::string endpoint = owned->Endpoint(0);
+  return ShardPlacement{std::move(owned), 0, std::move(endpoint)};
+}
+
 Status ShardedIngestor::DoAddShards(size_t n, const BackendFactory& factory) {
   Tracer::Span span = tracer_->StartSpan("add_shards");
   span.Attr("count", n);
   std::shared_ptr<const TopologyView> view = topology_->View();
-  const BackendFactory f = factory ? factory : InProcessBackendFactory();
   std::vector<ShardPlacement> added;
   for (size_t k = 0; k < n; ++k) {
-    const size_t shard = view->num_shards() + k;
-    auto cell = f(CellOptions(shard));
+    auto cell = FreshCell(view->num_shards() + k, factory, {});
     if (!cell.ok()) return cell.status();
-    if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-      return Status::Internal(
-          "ShardedIngestor: AddShards factory returned a mismatched cell");
-    }
-    // The views are the cells' only owners (see ShardPlacement).
-    std::unique_ptr<ShardBackend> owned = std::move(cell).value();
-    std::string endpoint = owned->Endpoint(0);
-    added.push_back(ShardPlacement{std::move(owned), 0, std::move(endpoint)});
+    added.push_back(std::move(cell).value());
   }
-  std::shared_ptr<const TopologyView> next =
-      ShardTopology::WithAddedShards(*view, added);
-  topology_->Install(std::move(next));
+  topology_->Install(ShardTopology::WithAddedShards(*view, added));
   span.Attr("generation", topology_->View()->generation);
   span.End();
   return Status::OK();
@@ -903,71 +868,33 @@ Status ShardedIngestor::DoAddShards(size_t n, const BackendFactory& factory) {
 
 Status ShardedIngestor::DoMoveShard(size_t shard,
                                     const BackendFactory& factory) {
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) {
-    return Status::OutOfRange("ShardedIngestor: MoveShard id out of range");
-  }
-  const ShardPlacement source = view->placements[shard];
+  auto source = PlacementOf(shard, "MoveShard");
+  if (!source.ok()) return source.status();
 
   // Each phase runs under its own child span; the span durations (see
   // TraceSpans()) are the single source of timing truth for the handoff.
   Tracer::Span move = tracer_->StartSpan("move_shard");
   move.Attr("shard", shard);
+  auto frames = CaptureShard(source.value(), &move);
+  if (!frames.ok()) return frames.status();
 
-  // 1. The barrier already drained in-flight batches; publish the source's
-  //    snapshot so the serialized state is its exact live state.
-  Tracer::Span flush = tracer_->StartSpan("move_shard.flush", move.id());
-  Status flushed = source.backend->Flush(source.local);
-  if (!flushed.ok()) return flushed;
-  flush.End();
-
-  // 2. Serialize the shard's sketch group — the wire snapshot states ARE
-  //    the handoff transfer format. A shard that never ingested has no
-  //    published state; it moves as a fresh cell.
-  Tracer::Span serialize = tracer_->StartSpan("move_shard.serialize", move.id());
-  std::vector<std::string> frames;
-  frames.reserve(options_.sketches.size());
-  uint64_t state_bytes = 0;
-  bool published = false;
-  for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = source.backend->SnapshotSerialized(source.local, i);
-    if (!snap.ok()) return snap.status();
-    published |= !snap.value().state.empty();
-    state_bytes += snap.value().state.size();
-    frames.push_back(std::move(snap.value().state));
-  }
-  serialize.Attr("state_bytes", state_bytes);
-  serialize.End();
-
-  // 3. Build the destination cell and import. Any failure leaves the
-  //    topology (and the source placement) exactly as it was.
+  // Any failure building or importing into the destination leaves the
+  // topology (and the source placement) exactly as it was.
   Tracer::Span import = tracer_->StartSpan("move_shard.import", move.id());
-  const BackendFactory f = factory ? factory : InProcessBackendFactory();
-  auto cell = f(CellOptions(shard));
-  if (!cell.ok()) return cell.status();
-  if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-    return Status::Internal(
-        "ShardedIngestor: MoveShard factory returned a mismatched cell");
-  }
-  if (published) {
-    Status imported = cell.value()->ImportShardState(0, frames);
-    if (!imported.ok()) return imported;
-  }
+  auto dest = FreshCell(shard, factory, frames.value());
+  if (!dest.ok()) return dest.status();
   import.End();
 
-  // 4. Re-point the shard id. The source cell's state is left in place —
-  //    readers holding an older topology view keep folding it until they
-  //    re-acquire; new views fold the destination, which now carries the
-  //    full history. The retired placement is reclaimed when the last view
-  //    referencing it drops (shared ownership, see ShardPlacement).
-  std::unique_ptr<ShardBackend> dest = std::move(cell).value();
-  std::string endpoint = dest->Endpoint(0);
-  auto next = ShardTopology::WithMovedShard(
-      *view, shard, ShardPlacement{std::move(dest), 0, std::move(endpoint)});
+  // Re-point the shard id. The source cell's state is left in place —
+  // readers holding an older topology view keep folding it until they
+  // re-acquire; new views fold the destination, which now carries the full
+  // history. The retired placement is reclaimed when the last view
+  // referencing it drops (shared ownership, see ShardPlacement).
+  auto next = ShardTopology::WithMovedShard(*topology_->View(), shard,
+                                            std::move(dest).value());
   if (!next.ok()) return next.status();
   topology_->Install(std::move(next).value());
 
-  move.Attr("state_bytes", state_bytes);
   move.Attr("generation", topology_->View()->generation);
   move.End();
   return Status::OK();
@@ -976,10 +903,9 @@ Status ShardedIngestor::DoMoveShard(size_t shard,
 Status ShardedIngestor::DoMoveSlots(size_t source,
                                     const std::vector<uint32_t>& slots,
                                     size_t dest) {
+  auto placement = PlacementOf(source, "MoveSlots source");
+  if (!placement.ok()) return placement.status();
   std::shared_ptr<const TopologyView> view = topology_->View();
-  if (source >= view->num_shards()) {
-    return Status::OutOfRange("ShardedIngestor: MoveSlots source out of range");
-  }
   if (dest >= view->num_shards()) {
     return Status::OutOfRange("ShardedIngestor: MoveSlots dest out of range");
   }
@@ -987,8 +913,7 @@ Status ShardedIngestor::DoMoveSlots(size_t source,
   // slots' traffic would drop into the hole the supervisor is about to
   // (or already did) declare dead. The autoscaler filters destinations by
   // health before deciding; this guard covers direct callers too.
-  if (HealthFor(dest).health.load(std::memory_order_acquire) !=
-      uint8_t(ShardHealth::kHealthy)) {
+  if (!HealthFor(dest).Is(ShardHealth::kHealthy)) {
     return Status::Unavailable(
         "ShardedIngestor: MoveSlots destination shard is not healthy");
   }
@@ -1005,9 +930,9 @@ Status ShardedIngestor::DoMoveSlots(size_t source,
   // post-move query. No state crosses cells — the source keeps its full
   // history and the destination accumulates the suffix; the merged answer
   // covers every update ever, bit-identically for the linear families.
-  const ShardPlacement placement = view->placements[source];
   Tracer::Span flush = tracer_->StartSpan("move_slots.flush", move.id());
-  Status flushed = placement.backend->Flush(placement.local);
+  Status flushed =
+      placement.value().backend->Flush(placement.value().local);
   if (!flushed.ok()) return flushed;
   flush.End();
 
@@ -1030,8 +955,10 @@ ShardedIngestor::ShardHealthState& ShardedIngestor::HealthFor(
 }
 
 ShardHealthInfo ShardedIngestor::Health(size_t shard) const {
-  ShardHealthState& h = HealthFor(shard);
   ShardHealthInfo info;
+  // Caller input: an unknown id must not grow the health table.
+  if (shard >= num_shards()) return info;
+  ShardHealthState& h = HealthFor(shard);
   info.health = ShardHealth(h.health.load(std::memory_order_acquire));
   info.missed_heartbeats = h.missed.load(std::memory_order_relaxed);
   const uint64_t applied = h.applied.load(std::memory_order_relaxed);
@@ -1053,7 +980,7 @@ Status ShardedIngestor::DoCheckpoint() {
   std::shared_ptr<const TopologyView> view = topology_->View();
   size_t snapshotted = 0;
   for (size_t shard = 0; shard < view->num_shards(); ++shard) {
-    Status s = DoCheckpointShard(shard, *view);
+    Status s = DoCheckpointShard(shard, view->placements[shard]);
     if (s.ok()) {
       ++snapshotted;
       continue;
@@ -1069,36 +996,25 @@ Status ShardedIngestor::DoCheckpoint() {
 }
 
 Status ShardedIngestor::DoCheckpointShard(size_t shard,
-                                          const TopologyView& view) {
+                                          const ShardPlacement& placement) {
   ShardHealthState& h = HealthFor(shard);
   // kSuspect is an unconfirmed verdict (one missed probe, possibly against
   // a just-retired placement) — attempt the cut and let the transport
   // decide; only a confirmed-dead shard is skipped outright.
-  if (h.health.load(std::memory_order_acquire) ==
-      uint8_t(ShardHealth::kDead)) {
+  if (h.Is(ShardHealth::kDead)) {
     return Status::Unavailable(
         "ShardedIngestor: shard unreachable; previous checkpoint kept");
   }
-  const ShardPlacement placement = view.placements[shard];
-  // Publish first so the serialized frames are the shard's exact live
-  // state — the caller is at a barrier, so the state is quiescent and the
-  // applied counter read below is exactly the cut the frames capture.
-  Status flushed = placement.backend->Flush(placement.local);
-  if (!flushed.ok()) return flushed;
-  ShardCheckpoint ckpt;
-  ckpt.frames.reserve(options_.sketches.size());
-  for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = placement.backend->SnapshotSerialized(placement.local, i);
-    if (!snap.ok()) return snap.status();
-    ckpt.frames.push_back(std::move(snap.value().state));
-  }
+  // The caller is at a barrier, so the state is quiescent and the applied
+  // counter read below is exactly the cut the frames capture.
+  auto frames = CaptureShard(placement);
+  if (!frames.ok()) return frames.status();
   const uint64_t applied = h.applied.load(std::memory_order_acquire);
-  ckpt.applied = applied;
-  ckpt.valid = true;
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
     if (checkpoints_.size() <= shard) checkpoints_.resize(shard + 1);
-    checkpoints_[shard] = std::move(ckpt);
+    checkpoints_[shard] =
+        ShardCheckpoint{std::move(frames).value(), applied};
   }
   h.applied_at_checkpoint.store(applied, std::memory_order_release);
   return Status::OK();
@@ -1113,12 +1029,9 @@ Status ShardedIngestor::RecoverShard(size_t shard, BackendFactory factory) {
 Status ShardedIngestor::DoRecoverShard(size_t shard,
                                        const BackendFactory& factory,
                                        const ShardBackend* expected) {
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) {
-    return Status::OutOfRange("ShardedIngestor: RecoverShard id out of range");
-  }
-  if (expected != nullptr &&
-      view->placements[shard].backend.get() != expected) {
+  auto current = PlacementOf(shard, "RecoverShard");
+  if (!current.ok()) return current.status();
+  if (expected != nullptr && current.value().backend.get() != expected) {
     // The placement this death verdict referred to was already re-homed by
     // a concurrent drill or manual rescue — recovering again would roll the
     // NEW cell back to an older checkpoint, discarding acked updates. Undo
@@ -1126,9 +1039,7 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
     // unhealthy.
     ShardHealthState& h = HealthFor(shard);
     h.missed.store(0, std::memory_order_release);
-    uint8_t dead = uint8_t(ShardHealth::kDead);
-    h.health.compare_exchange_strong(dead, uint8_t(ShardHealth::kHealthy),
-                                     std::memory_order_acq_rel);
+    h.Transition(ShardHealth::kDead, ShardHealth::kHealthy);
     return Status::OK();
   }
   Tracer::Span span = tracer_->StartSpan("recover_shard");
@@ -1140,33 +1051,15 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
     if (shard < checkpoints_.size()) ckpt = checkpoints_[shard];
   }
 
-  // Build the replacement cell and restore the checkpointed cut into it —
-  // the MoveShard transfer format, with the dead placement's role played
-  // by its last checkpoint. No checkpoint = an empty (but correctly
+  // The cell-replace step MoveShard uses, with the dead placement's role
+  // played by its last checkpoint. No checkpoint = an empty (but correctly
   // seeded) cell: the shard restarts its history rather than blocking.
-  const BackendFactory f =
-      factory ? factory
-              : (options_.failover.recovery_backend
-                     ? options_.failover.recovery_backend
-                     : InProcessBackendFactory());
-  auto cell = f(CellOptions(shard));
-  if (!cell.ok()) return cell.status();
-  if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-    return Status::Internal(
-        "ShardedIngestor: recovery factory returned a mismatched cell");
-  }
-  bool restored = false;
-  if (ckpt.valid) {
-    for (const std::string& frame : ckpt.frames) restored |= !frame.empty();
-    if (restored) {
-      Status imported = cell.value()->ImportShardState(0, ckpt.frames);
-      if (!imported.ok()) return imported;
-    }
-  }
-  std::unique_ptr<ShardBackend> fresh = std::move(cell).value();
-  std::string endpoint = fresh->Endpoint(0);
-  auto next = ShardTopology::WithMovedShard(
-      *view, shard, ShardPlacement{std::move(fresh), 0, std::move(endpoint)});
+  auto fresh = FreshCell(
+      shard, factory ? factory : options_.failover.recovery_backend,
+      ckpt.frames);
+  if (!fresh.ok()) return fresh.status();
+  auto next = ShardTopology::WithMovedShard(*topology_->View(), shard,
+                                            std::move(fresh).value());
   if (!next.ok()) return next.status();
   topology_->Install(std::move(next).value());
 
@@ -1174,7 +1067,7 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
   // cut, plus everything dropped while degraded, is gone. The baseline
   // resets to the checkpoint the new cell actually carries.
   ShardHealthState& h = HealthFor(shard);
-  const uint64_t base = ckpt.valid ? ckpt.applied : 0;
+  const uint64_t base = ckpt.applied;
   const uint64_t applied = h.applied.load(std::memory_order_acquire);
   const uint64_t lost = (applied > base ? applied - base : 0) +
                         h.dropped.exchange(0, std::memory_order_acq_rel);
@@ -1186,7 +1079,7 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
   h.health.store(uint8_t(ShardHealth::kHealthy), std::memory_order_release);
 
   span.Attr("updates_lost", lost);
-  span.Attr("restored", restored ? 1 : 0);
+  span.Attr("restored", HasState(ckpt.frames) ? 1 : 0);
   span.Attr("generation", topology_->View()->generation);
   span.End();
   return Status::OK();
@@ -1195,29 +1088,26 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
 Status ShardedIngestor::FailoverDrill(size_t shard, bool torn,
                                       BackendFactory factory) {
   return RunAtBarrier([this, shard, torn, factory = std::move(factory)] {
-    std::shared_ptr<const TopologyView> view = topology_->View();
-    if (shard >= view->num_shards()) {
-      return Status::OutOfRange(
-          "ShardedIngestor: FailoverDrill id out of range");
-    }
+    auto placement = PlacementOf(shard, "FailoverDrill");
+    if (!placement.ok()) return placement.status();
+    const ShardPlacement& p = placement.value();
     Tracer::Span span = tracer_->StartSpan("failover_drill");
     span.Attr("shard", shard);
     // Checkpoint and crash share this one barrier, so the crash loses
     // exactly nothing: the recovery below restores the cut taken here and
     // queued producer batches only dispatch after the drill completes.
-    Status ck = DoCheckpointShard(shard, *view);
+    Status ck = DoCheckpointShard(shard, p);
     if (!ck.ok()) return ck;
-    const ShardPlacement placement = view->placements[shard];
-    Status crash = placement.backend->InjectCrash(placement.local, torn);
+    Status crash = p.backend->InjectCrash(p.local, torn);
     if (!crash.ok()) return crash;  // Unimplemented for in-process cells
     // Observe the death the way live traffic would: a torn frame must be
     // rejected by the data channel's CRC check (wire.crc_rejects_total), a
     // clean crash by a failed control-channel heartbeat.
     if (torn) {
-      (void)placement.backend->ApplyBatch(placement.local, nullptr, 0);
+      (void)p.backend->ApplyBatch(p.local, nullptr, 0);
     } else {
-      (void)placement.backend->Heartbeat(
-          placement.local, options_.failover.heartbeat_timeout_ms);
+      (void)p.backend->Heartbeat(p.local,
+                                 options_.failover.heartbeat_timeout_ms);
     }
     HealthFor(shard).health.store(uint8_t(ShardHealth::kDead),
                                   std::memory_order_release);
@@ -1228,23 +1118,15 @@ Status ShardedIngestor::FailoverDrill(size_t shard, bool torn,
 }
 
 Status ShardedIngestor::InjectShardCrash(size_t shard, bool torn) {
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) {
-    return Status::OutOfRange(
-        "ShardedIngestor: InjectShardCrash id out of range");
-  }
-  const ShardPlacement placement = view->placements[shard];
-  return placement.backend->InjectCrash(placement.local, torn);
+  auto placement = PlacementOf(shard, "InjectShardCrash");
+  if (!placement.ok()) return placement.status();
+  return placement.value().backend->InjectCrash(placement.value().local, torn);
 }
 
 Status ShardedIngestor::InjectShardPartition(size_t shard) {
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) {
-    return Status::OutOfRange(
-        "ShardedIngestor: InjectShardPartition id out of range");
-  }
-  const ShardPlacement placement = view->placements[shard];
-  return placement.backend->InjectPartition(placement.local);
+  auto placement = PlacementOf(shard, "InjectShardPartition");
+  if (!placement.ok()) return placement.status();
+  return placement.value().backend->InjectPartition(placement.value().local);
 }
 
 void ShardedIngestor::SupervisorLoop() {
@@ -1266,8 +1148,7 @@ void ShardedIngestor::SupervisorLoop() {
       std::shared_ptr<const TopologyView> view = topology_->View();
       for (size_t shard = 0; shard < view->num_shards(); ++shard) {
         ShardHealthState& h = HealthFor(shard);
-        const uint8_t state = h.health.load(std::memory_order_acquire);
-        if (state == uint8_t(ShardHealth::kDead)) continue;  // awaiting rescue
+        if (h.Is(ShardHealth::kDead)) continue;  // awaiting rescue
         if (now < h.next_probe) continue;  // exponential backoff in effect
         const ShardPlacement placement = view->placements[shard];
         Status hb = placement.backend->Heartbeat(placement.local,
@@ -1276,10 +1157,7 @@ void ShardedIngestor::SupervisorLoop() {
           h.missed.store(0, std::memory_order_release);
           h.backoff_misses = 0;
           h.next_probe = now;
-          uint8_t suspect = uint8_t(ShardHealth::kSuspect);
-          h.health.compare_exchange_strong(suspect,
-                                           uint8_t(ShardHealth::kHealthy),
-                                           std::memory_order_acq_rel);
+          h.Transition(ShardHealth::kSuspect, ShardHealth::kHealthy);
           continue;
         }
         if (topology_->View()->generation != view->generation) {
@@ -1307,10 +1185,8 @@ void ShardedIngestor::SupervisorLoop() {
             if (view->placements[other].endpoint != placement.endpoint) {
               continue;
             }
-            uint8_t healthy = uint8_t(ShardHealth::kHealthy);
-            if (HealthFor(other).health.compare_exchange_strong(
-                    healthy, uint8_t(ShardHealth::kSuspect),
-                    std::memory_order_acq_rel)) {
+            if (HealthFor(other).Transition(ShardHealth::kHealthy,
+                                            ShardHealth::kSuspect)) {
               Tracer::Span hs = tracer_->StartSpan("host_suspect");
               hs.Attr("shard", other);
               hs.Attr("via_shard", shard);
@@ -1344,10 +1220,7 @@ void ShardedIngestor::SupervisorLoop() {
             }
           }
         } else {
-          uint8_t healthy = uint8_t(ShardHealth::kHealthy);
-          if (h.health.compare_exchange_strong(healthy,
-                                               uint8_t(ShardHealth::kSuspect),
-                                               std::memory_order_acq_rel)) {
+          if (h.Transition(ShardHealth::kHealthy, ShardHealth::kSuspect)) {
             Tracer::Span sus = tracer_->StartSpan("shard_suspect");
             sus.Attr("shard", shard);
             sus.Attr("missed_heartbeats", missed);
@@ -1531,6 +1404,13 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
   std::shared_ptr<const TopologyView> view = topology_->View();
   MergeCache& cache = *caches_[sketch_index];
   *lock = std::unique_lock<std::mutex>(cache.mu);
+  // A failed fold leaves `merged` half-updated: drop it so the next query
+  // rebuilds from scratch.
+  const auto invalidate = [&cache](Status st) {
+    cache.valid = false;
+    cache.merged.reset();
+    return st;
+  };
 
   // A stale view (loaded before a change another query already folded)
   // must not roll the cache BACK a generation — reload instead; installs
@@ -1616,19 +1496,11 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
           incremental = false;
           break;
         }
-        if (!st.ok()) {
-          cache.valid = false;
-          cache.merged.reset();
-          return st;
-        }
+        if (!st.ok()) return invalidate(st);
       }
       if (fresh[d] != nullptr) {
         Status st = cache.merged->MergeFrom(*fresh[d]);
-        if (!st.ok()) {
-          cache.valid = false;
-          cache.merged.reset();
-          return st;
-        }
+        if (!st.ok()) return invalidate(st);
       }
       cache.folded[s] = fresh[d];
       cache.epochs[s] = fresh_epochs[d];
@@ -1649,11 +1521,7 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
     for (const auto& snap : cache.folded) {
       if (snap == nullptr) continue;
       Status st = cache.merged->MergeFrom(*snap);
-      if (!st.ok()) {
-        cache.valid = false;
-        cache.merged.reset();
-        return st;
-      }
+      if (!st.ok()) return invalidate(st);
     }
     ++cache.rebuilds;
   } else {
@@ -1802,10 +1670,9 @@ void ShardedIngestor::DumpMetrics(std::ostream& os,
 }
 
 uint64_t ShardedIngestor::ShardEpoch(size_t shard) const {
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) return 0;
-  const ShardPlacement placement = view->placements[shard];
-  auto epoch = placement.backend->Epoch(placement.local);
+  auto placement = PlacementOf(shard, "ShardEpoch");
+  if (!placement.ok()) return 0;
+  auto epoch = placement.value().backend->Epoch(placement.value().local);
   return epoch.ok() ? epoch.value() : 0;
 }
 
@@ -1813,17 +1680,15 @@ Result<SketchSummary> ShardedIngestor::ShardSummary(
     size_t shard, const std::string& sketch) const {
   Status quiescent = CheckQuiescent();
   if (!quiescent.ok()) return quiescent;
-  std::shared_ptr<const TopologyView> view = topology_->View();
-  if (shard >= view->num_shards()) {
-    return Status::OutOfRange("ShardedIngestor: shard index out of range");
-  }
+  auto placement = PlacementOf(shard, "ShardSummary");
+  if (!placement.ok()) return placement.status();
   const size_t index = SketchIndex(sketch);
   if (index == options_.sketches.size()) {
     return Status::NotFound("ShardedIngestor: sketch not configured: " +
                             sketch);
   }
-  const ShardPlacement placement = view->placements[shard];
-  return placement.backend->LiveSummary(placement.local, index);
+  return placement.value().backend->LiveSummary(placement.value().local,
+                                                index);
 }
 
 uint64_t ShardedIngestor::SpaceBits() const {

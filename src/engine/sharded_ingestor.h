@@ -27,16 +27,22 @@
 //     families, mergeable-summary bounds for the rest).
 //   * MoveShard(id, factory): live handoff. The router drains the shard's
 //     in-flight batches, serializes its published state (the wire format
-//     of PR 4 is the transfer format), imports it into a cell built by
+//     is the transfer format), imports it into a cell built by
 //     `factory` (kReqImport over the wire for remote cells), and
 //     re-points the shard id — same slots, same derived shard seed, full
 //     history. Queries racing the handoff keep answering from the old
 //     placement until the new view is installed.
 //
-// Submission is multi-producer and asynchronous: SubmitAsync scatters on
-// the calling thread, then hands the pre-scattered batch to a per-session
-// MPSC submission queue under a short mutex and returns a sequence-
-// numbered IngestTicket immediately. A router thread drains the session
+// Submission is multi-producer and asynchronous, through exactly three
+// entry points, each taking (session, pointer, count): SubmitAsync
+// (turnstile updates; waits on a full inflight valve), TrySubmitAsync (the
+// same, but fails fast with ResourceExhausted instead of waiting) and
+// SubmitItemsAsync (insertion-only items, each a delta-1 update). All three
+// share one body: scatter on the calling thread, then hand the
+// pre-scattered batch to the session's MPSC submission queue under a short
+// mutex and return a sequence-numbered IngestTicket immediately. (The
+// typed Client wraps them, with default-session overloads, for callers
+// that do not open sessions.) A router thread drains the session
 // queues ROUND-ROBIN (fairness across producer sessions — a hot producer
 // cannot monopolize dispatch) and forwards sub-batches to the per-shard
 // worker queues — worker backpressure therefore blocks the *router* (and
@@ -97,13 +103,13 @@
 namespace wbs::engine {
 
 /// Failure-handling knobs: heartbeat supervision, periodic checkpoints, and
-/// automatic MoveShard-based recovery. Supervision is OFF by default
-/// (heartbeat_interval_ms == 0), which preserves the legacy contract: any
-/// shard failure poisons the pipeline as the first error. With supervision
+/// automatic recovery. Supervision is OFF by default (heartbeat_interval_ms
+/// == 0), which preserves the legacy contract: any shard failure poisons
+/// the pipeline as the first error. With supervision
 /// on, a placement failure (Unavailable) degrades instead: its batches are
 /// dropped with explicit loss accounting, queries serve the last folded
 /// state with a staleness flag, and the supervisor re-homes the shard from
-/// its last checkpoint through the MoveShard machinery.
+/// its last checkpoint through the cell-replace step MoveShard also uses.
 struct FailoverOptions {
   /// Supervisor probe period. 0 disables the supervisor thread entirely.
   uint64_t heartbeat_interval_ms = 0;
@@ -245,35 +251,18 @@ class ShardedIngestor {
   /// Opens a new producer session (its own round-robin lane). Any thread.
   Result<ProducerSession> OpenSession();
 
-  /// Scatters `count` updates into per-shard sub-batches and enqueues them
-  /// on `session`'s lane, returning a ticket that completes once the batch
-  /// (and every earlier ticket) has been applied. Multi-producer: safe to
-  /// call concurrently from any number of threads (sharing a session is
-  /// fine; they interleave FIFO within it). Never blocks on worker
-  /// backpressure (the router absorbs it); only the inflight valves can
-  /// make it wait, and those admit waiters in arrival order.
+  /// The three submit entry points. Each scatters `count` updates into
+  /// per-shard sub-batches and enqueues them on `session`'s lane (pass
+  /// ProducerSession{} for the shared session 0), returning a ticket that
+  /// completes once the batch (and every earlier ticket) has been applied.
+  /// Multi-producer: safe to call concurrently from any number of threads
+  /// (sharing a session is fine; they interleave FIFO within it). Never
+  /// blocks on worker backpressure (the router absorbs it); only the
+  /// inflight valves can make it wait, and those admit waiters in arrival
+  /// order.
   Result<IngestTicket> SubmitAsync(const ProducerSession& session,
                                    const stream::TurnstileUpdate* updates,
                                    size_t count);
-  Result<IngestTicket> SubmitAsync(const stream::TurnstileUpdate* updates,
-                                   size_t count) {
-    return SubmitAsync(ProducerSession{}, updates, count);
-  }
-  Result<IngestTicket> SubmitAsync(const stream::TurnstileStream& s) {
-    return SubmitAsync(s.data(), s.size());
-  }
-
-  /// Insertion-only convenience: each item becomes a delta-1 update.
-  Result<IngestTicket> SubmitItemsAsync(const ProducerSession& session,
-                                        const stream::ItemUpdate* items,
-                                        size_t count);
-  Result<IngestTicket> SubmitItemsAsync(const stream::ItemUpdate* items,
-                                        size_t count) {
-    return SubmitItemsAsync(ProducerSession{}, items, count);
-  }
-  Result<IngestTicket> SubmitItemsAsync(const stream::ItemStream& s) {
-    return SubmitItemsAsync(s.data(), s.size());
-  }
 
   /// Non-blocking variant: where SubmitAsync would wait on the
   /// max_inflight_tickets / max_inflight_bytes valves (or behind earlier
@@ -283,28 +272,11 @@ class ShardedIngestor {
   Result<IngestTicket> TrySubmitAsync(const ProducerSession& session,
                                       const stream::TurnstileUpdate* updates,
                                       size_t count);
-  Result<IngestTicket> TrySubmitAsync(const stream::TurnstileUpdate* updates,
-                                      size_t count) {
-    return TrySubmitAsync(ProducerSession{}, updates, count);
-  }
-  Result<IngestTicket> TrySubmitAsync(const stream::TurnstileStream& s) {
-    return TrySubmitAsync(s.data(), s.size());
-  }
 
-  /// Fire-and-forget wrappers (the pre-ticket surface): submit and discard
-  /// the ticket. Errors already recorded by the pipeline surface here.
-  Status Submit(const stream::TurnstileUpdate* updates, size_t count) {
-    return SubmitAsync(updates, count).status();
-  }
-  Status Submit(const stream::TurnstileStream& s) {
-    return Submit(s.data(), s.size());
-  }
-  Status SubmitItems(const stream::ItemUpdate* items, size_t count) {
-    return SubmitItemsAsync(items, count).status();
-  }
-  Status SubmitItems(const stream::ItemStream& s) {
-    return SubmitItems(s.data(), s.size());
-  }
+  /// Insertion-only convenience: each item becomes a delta-1 update.
+  Result<IngestTicket> SubmitItemsAsync(const ProducerSession& session,
+                                        const stream::ItemUpdate* items,
+                                        size_t count);
 
   // ---- live topology operations -----------------------------------------
 
@@ -557,8 +529,8 @@ class ShardedIngestor {
     /// GLOBAL shard id's ingest instruments (null = metrics disabled),
     /// resolved by the router so the worker's apply loop never locks.
     ShardIngestMetrics* metrics = nullptr;
-    /// GLOBAL shard id's health/loss accounting (null = supervision off,
-    /// the legacy poison-on-error contract), resolved like `metrics`.
+    /// GLOBAL shard id's health/loss accounting, resolved like `metrics`.
+    /// Never null: the router attaches it whether or not supervision is on.
     ShardHealthState* health = nullptr;
   };
 
@@ -615,15 +587,24 @@ class ShardedIngestor {
     std::atomic<uint64_t> recoveries{0};
     std::atomic<uint64_t> lost_total{0};
     std::atomic<uint64_t> metrics_errors{0};  // failed backend Metrics() polls
+    bool Is(ShardHealth h) const {
+      return health.load(std::memory_order_acquire) == uint8_t(h);
+    }
+    /// Compare-and-swap `from` -> `to`; true when this call moved it.
+    bool Transition(ShardHealth from, ShardHealth to) {
+      uint8_t expected = uint8_t(from);
+      return health.compare_exchange_strong(expected, uint8_t(to),
+                                            std::memory_order_acq_rel);
+    }
     /// Supervisor-thread-only backoff state (no atomics needed).
     uint64_t backoff_misses = 0;
     std::chrono::steady_clock::time_point next_probe{};
   };
 
   /// One shard's checkpoint: the serialized wire frames of its full sketch
-  /// group plus the acked-update count the cut covers. Guarded by ckpt_mu_.
+  /// group plus the acked-update count the cut covers; default-constructed
+  /// = never checkpointed (restores an empty cell). Guarded by ckpt_mu_.
   struct ShardCheckpoint {
-    bool valid = false;
     std::vector<std::string> frames;
     uint64_t applied = 0;
   };
@@ -639,14 +620,22 @@ class ShardedIngestor {
   static void ReScatter(PendingTicket* ticket, const TopologyView& view);
   /// Checks producer-side preconditions shared by the Submit variants.
   Status PreSubmit() const;
-  /// Inline mode: applies the sub-batches staged in scatter_ synchronously
-  /// against `view`. Caller holds submit_mu_. Returns the always-complete
-  /// seq-0 ticket.
-  Result<IngestTicket> ApplyInline(const TopologyView& view, size_t count);
-  /// Shared body of SubmitAsync/TrySubmitAsync.
-  Result<IngestTicket> SubmitScattered(const ProducerSession& session,
-                                       const stream::TurnstileUpdate* updates,
-                                       size_t count, bool blocking);
+  /// PreSubmit plus the session-id check. Caller holds submit_mu_.
+  Status PreSubmitLocked(const ProducerSession& session) const;
+  /// The one apply step, shared by inline submits and the workers: drops the
+  /// batch (counted) when the shard is dead, else applies it, counts the
+  /// applied updates, and instruments the apply (`m` may be null). A
+  /// supervised Unavailable degrades the shard to suspect and counts the
+  /// drop. Any other failure is recorded as the pipeline's error and
+  /// returned; every other outcome is OK.
+  Status ApplyShardBatch(ShardBackend& backend, uint32_t local,
+                         const std::vector<stream::TurnstileUpdate>& batch,
+                         ShardIngestMetrics* m, ShardHealthState& health);
+  /// Shared body of the three submit entry points, over the input element
+  /// (stream::TurnstileUpdate or stream::ItemUpdate).
+  template <typename In>
+  Result<IngestTicket> SubmitBatch(const ProducerSession& session,
+                                   const In* in, size_t count, bool blocking);
   /// Threaded mode: assigns a sequence number to `sub` and parks it on
   /// `session`'s lane for the router. When `blocking` is false, a full
   /// inflight valve (or a queue of earlier valve waiters) is
@@ -659,14 +648,18 @@ class ShardedIngestor {
   /// inline under submit_mu_ when there is no router, as a control ticket
   /// through it otherwise. Returns the op's status.
   Status RunAtBarrier(std::function<Status()> op);
+  /// Drains the workers, runs `op`, and records the barrier metrics (the
+  /// latency includes the drain: that wait IS a control op's cost).
+  Status RunDrained(const std::function<Status()>& op);
   /// The barrier bodies (called with workers drained).
   Status DoAddShards(size_t n, const BackendFactory& factory);
   Status DoMoveShard(size_t shard, const BackendFactory& factory);
   Status DoMoveSlots(size_t source, const std::vector<uint32_t>& slots,
                      size_t dest);
   Status DoCheckpoint();
-  /// Checkpoints one shard against `view` (caller is at a barrier).
-  Status DoCheckpointShard(size_t shard, const TopologyView& view);
+  /// Checkpoints shard `shard`, currently at `placement` (caller is at a
+  /// barrier).
+  Status DoCheckpointShard(size_t shard, const ShardPlacement& placement);
   /// `expected` (when non-null) pins the recovery to the placement whose
   /// death was observed: if the shard has since been re-homed (concurrent
   /// drill / manual rescue), the verdict is stale and the recovery is a
@@ -685,6 +678,22 @@ class ShardedIngestor {
   ShardHealthState& HealthFor(size_t shard) const;
   /// Builds the 1-shard cell options for global shard id `shard`.
   BackendOptions CellOptions(size_t shard) const;
+  /// Shard `shard`'s placement in the current view; OutOfRange (naming
+  /// `op`) when no such shard exists.
+  Result<ShardPlacement> PlacementOf(size_t shard, const char* op) const;
+  /// Publishes `placement`'s live state and serializes its sketch group:
+  /// one wire frame per configured sketch, empty for a sketch that never
+  /// published (the transfer format of handoffs and checkpoints). With
+  /// `move` set, the phases are recorded as its "move_shard.flush" and
+  /// "move_shard.serialize" children and it gets a state_bytes attribute.
+  Result<std::vector<std::string>> CaptureShard(
+      const ShardPlacement& placement, Tracer::Span* move = nullptr);
+  /// The one cell-replace step: builds a fresh 1-shard cell for global
+  /// shard id `shard` from `factory` (empty = in-process), imports `frames`
+  /// into it when any frame is non-empty, and returns its placement.
+  /// Nothing is installed, so on failure the topology is unchanged.
+  Result<ShardPlacement> FreshCell(size_t shard, const BackendFactory& factory,
+                                   const std::vector<std::string>& frames);
   /// Marks the ticket applied, releases its valve bytes, and advances the
   /// monotone completion watermark.
   void CompleteTicket(const TicketState& state);
@@ -713,22 +722,18 @@ class ShardedIngestor {
     slot_heat_[slot].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Hash+bucket scatter of `count` turnstile updates into (*out)[shard]
-  /// through the 8-wide SIMD hash kernel: items are hashed 8 per kernel
-  /// call and bucketed by mask when num_slots is a power of two (modulo
-  /// otherwise). Identical partition to the per-item ShardFor loop
-  /// (Debug-asserted per update). `out` must already have
-  /// view.num_shards() cleared sub-vectors; feeds SampleSlotHeat with the
-  /// computed slot.
-  void ScatterUpdates(const TopologyView& view,
-                      const stream::TurnstileUpdate* updates, size_t count,
-                      std::vector<std::vector<stream::TurnstileUpdate>>* out);
-  /// ScatterUpdates for item streams: each item becomes a delta-1
-  /// turnstile update directly in its shard's sub-batch (fused conversion,
-  /// no intermediate copy).
-  void ScatterItems(const TopologyView& view, const stream::ItemUpdate* items,
-                    size_t count,
-                    std::vector<std::vector<stream::TurnstileUpdate>>* out);
+  /// Hash+bucket scatter of `count` inputs into (*out)[shard] through the
+  /// 8-wide SIMD hash kernel: items are hashed 8 per kernel call and
+  /// bucketed by mask when num_slots is a power of two (modulo otherwise).
+  /// Identical partition to the per-item ShardFor loop (Debug-asserted per
+  /// update). An item input becomes a delta-1 turnstile update directly in
+  /// its shard's sub-batch (fused conversion, no intermediate copy). A
+  /// single-shard view skips hashing and sampling: turnstile input is one
+  /// contiguous copy. `out` must already have view.num_shards() cleared
+  /// sub-vectors; feeds SampleSlotHeat with the computed slot.
+  template <typename In>
+  void Scatter(const TopologyView& view, const In* in, size_t count,
+               std::vector<std::vector<stream::TurnstileUpdate>>* out);
 
   IngestorOptions options_;
   /// Observability. metrics_ is null when options_.metrics_enabled is

@@ -1,7 +1,8 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
-// Shard failure as a first-class scenario (PR 7): crash injection,
-// heartbeat supervision, checkpoints, and MoveShard-based failover.
+// Shard failure as a first-class scenario: crash injection, heartbeat
+// supervision, checkpoints, and failover through the cell-replace step
+// (checkpoint frames imported into a fresh cell).
 //
 //   * detection + recovery: an injected crash of a tcp shard is
 //     noticed by heartbeat timeout (kSuspect -> kDead), auto-re-homed from
@@ -31,6 +32,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -587,6 +589,95 @@ TEST(FailoverTest, WaitForTimesOutThenSucceedsOnTheSameTicket) {
   EXPECT_TRUE(client.value()->WaitFor(ticket.value(), 30000).ok());
   EXPECT_TRUE(client.value()->Wait(ticket.value()).ok());
   ASSERT_TRUE(client.value()->Finish().ok());
+}
+
+// ------------------------------------------------- cell-replace failures --
+
+TEST(FailoverTest, FailedCellReplaceLeavesEverythingUnchanged) {
+  // AddShards, MoveShard and RecoverShard share one cell-replace step. A
+  // factory that errors, or one that builds a cell of the wrong shape,
+  // must fail each of them before anything is installed: same topology
+  // generation, same merged answer, same loss accounting.
+  const BackendFactory failing =
+      [](const BackendOptions&) -> Result<std::unique_ptr<ShardBackend>> {
+    return Status::ResourceExhausted("test: no capacity for a new cell");
+  };
+  const BackendFactory two_shard = [](const BackendOptions& bopts) {
+    BackendOptions wide = bopts;
+    wide.num_shards = 2;
+    return InProcessBackendFactory()(wide);
+  };
+  struct Case {
+    const char* name;
+    BackendFactory factory;
+    Status::Code code;
+  };
+  const std::vector<Case> cases = {
+      {"factory_error", failing, Status::Code::kResourceExhausted},
+      {"two_shard_cell", two_shard, Status::Code::kInternal}};
+
+  for (size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto client = MakeClient({"ams_f2"}, TestConfig(1 << 10, 91), 2, threads);
+    const stream::TurnstileStream s = ZipfTurnstile(1 << 10, 4000, 92);
+    ASSERT_TRUE(client->Submit(s.data(), s.size() / 2).ok());
+    ASSERT_TRUE(client->Checkpoint().ok());
+    // Updates past the checkpoint: a recovery that went through would
+    // count them as lost.
+    ASSERT_TRUE(
+        client->Submit(s.data() + s.size() / 2, s.size() - s.size() / 2)
+            .ok());
+    ASSERT_TRUE(client->Flush().ok());
+    const SketchHandle f2 = client->Handle("ams_f2").value();
+    const double answer = client->QueryScalar(f2).value().value;
+    const uint64_t generation = client->ingestor().topology_generation();
+    const ShardHealthInfo before = client->Health(1);
+    ASSERT_GT(before.updates_acked_unsnapshotted, 0u);
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      const Status added = client->AddShards(1, c.factory);
+      const Status moved = client->MoveShard(1, c.factory);
+      const Status recovered = client->RecoverShard(1, c.factory);
+      EXPECT_EQ(added.code(), c.code) << added.ToString();
+      EXPECT_EQ(moved.code(), c.code) << moved.ToString();
+      EXPECT_EQ(recovered.code(), c.code) << recovered.ToString();
+      EXPECT_EQ(client->ingestor().topology_generation(), generation);
+      EXPECT_EQ(client->Topology().num_shards, 2u);
+      auto now = client->QueryScalar(f2);
+      ASSERT_TRUE(now.ok()) << now.status().ToString();
+      EXPECT_EQ(now.value().value, answer);
+      const ShardHealthInfo after = client->Health(1);
+      EXPECT_EQ(after.recoveries, before.recoveries);
+      EXPECT_EQ(after.updates_lost_total, before.updates_lost_total);
+      EXPECT_EQ(after.updates_acked_unsnapshotted,
+                before.updates_acked_unsnapshotted);
+    }
+    // The failed operations poisoned nothing: ingest and Finish still work.
+    ASSERT_TRUE(client->Submit(s).ok());
+    ASSERT_TRUE(client->Finish().ok());
+  }
+}
+
+TEST(FailoverTest, HealthOfUnknownShardIsDefault) {
+  // Client::Health passes caller input straight to the engine. An id past
+  // the current shard count reads as a default ShardHealthInfo and must not
+  // grow per-shard state up to that id (Health(SIZE_MAX) would otherwise
+  // allocate until bad_alloc).
+  auto client = MakeClient({"ams_f2"}, TestConfig(1 << 10, 93), 2, 0);
+  for (size_t shard : {size_t{2}, std::numeric_limits<size_t>::max()}) {
+    const ShardHealthInfo h = client->Health(shard);
+    EXPECT_EQ(h.health, ShardHealth::kHealthy) << shard;
+    EXPECT_EQ(h.missed_heartbeats, 0u) << shard;
+    EXPECT_EQ(h.updates_acked_unsnapshotted, 0u) << shard;
+    EXPECT_EQ(h.dropped_updates, 0u) << shard;
+    EXPECT_EQ(h.recoveries, 0u) << shard;
+    EXPECT_EQ(h.updates_lost_total, 0u) << shard;
+  }
+  // A shard that joins later starts from clean accounting too.
+  ASSERT_TRUE(client->AddShards(1).ok());
+  EXPECT_EQ(client->Health(2).health, ShardHealth::kHealthy);
+  ASSERT_TRUE(client->Finish().ok());
 }
 
 // --------------------------------------------------------- reclamation --

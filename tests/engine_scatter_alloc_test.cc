@@ -1,7 +1,7 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
 // Regression guard for the inline-mode submission hot loop: after warm-up,
-// Submit/SubmitItems must perform ZERO heap allocations. The scatter
+// SubmitAsync/SubmitItemsAsync must perform ZERO heap allocations. The scatter
 // scratch is a reused member whose single-shard fast path rounds capacity
 // to the next power of two (so steadily growing batches do not reallocate
 // on every call) and whose multi-shard path retains sub-vector capacity
@@ -106,6 +106,9 @@ class NullBackend : public ShardBackend {
   uint64_t applied_ = 0;
 };
 
+// Every submission here rides the shared default session.
+const ProducerSession kSession{};
+
 std::unique_ptr<ShardedIngestor> MakeInlineEngine(size_t shards) {
   IngestorOptions opts;
   opts.num_shards = shards;
@@ -143,14 +146,15 @@ TEST(ScatterAllocTest, SingleShardInlineResubmitAllocatesNothing) {
   const stream::TurnstileStream s = MakeStream(1000);
 
   // Warm-up sizes the scratch: capacity is rounded to bit_ceil(1000) = 1024.
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->SubmitAsync(kSession, s.data(), s.size()).ok());
 
   // Steady state, including batches LARGER than the warm-up (up to the
   // power-of-two capacity): zero allocations.
   for (size_t n : {size_t{1}, size_t{500}, size_t{1000}, size_t{1024}}) {
     const stream::TurnstileStream b = MakeStream(n);
-    const size_t allocs = AllocsDuring(
-        [&] { ASSERT_TRUE(engine->SubmitAsync(b.data(), b.size()).ok()); });
+    const size_t allocs = AllocsDuring([&] {
+      ASSERT_TRUE(engine->SubmitAsync(kSession, b.data(), b.size()).ok());
+    });
     EXPECT_EQ(allocs, 0u) << "batch=" << n;
   }
 }
@@ -162,12 +166,13 @@ TEST(ScatterAllocTest, MultiShardInlineResubmitAllocatesNothing) {
 
   // Two warm-ups: the first sizes the per-shard sub-vectors, the second
   // confirms sizing converged before the measured window.
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->SubmitAsync(kSession, s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->SubmitAsync(kSession, s.data(), s.size()).ok());
 
   for (int round = 0; round < 3; ++round) {
-    const size_t allocs = AllocsDuring(
-        [&] { ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok()); });
+    const size_t allocs = AllocsDuring([&] {
+      ASSERT_TRUE(engine->SubmitAsync(kSession, s.data(), s.size()).ok());
+    });
     EXPECT_EQ(allocs, 0u) << "round=" << round;
   }
 }
@@ -181,12 +186,15 @@ TEST(ScatterAllocTest, ItemPathInlineResubmitAllocatesNothing) {
     items.push_back({uint64_t(i) * 0x9e3779b97f4a7c15ULL});
   }
 
-  ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
-  ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
+  ASSERT_TRUE(
+      engine->SubmitItemsAsync(kSession, items.data(), items.size()).ok());
+  ASSERT_TRUE(
+      engine->SubmitItemsAsync(kSession, items.data(), items.size()).ok());
 
   for (int round = 0; round < 3; ++round) {
     const size_t allocs = AllocsDuring([&] {
-      ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
+      ASSERT_TRUE(
+          engine->SubmitItemsAsync(kSession, items.data(), items.size()).ok());
     });
     EXPECT_EQ(allocs, 0u) << "round=" << round;
   }
@@ -201,8 +209,8 @@ TEST(ScatterAllocTest, GrowingBatchesReallocateLogarithmically) {
   const stream::TurnstileStream s = MakeStream(1024);
   size_t growth_allocs = 0;
   for (size_t n = 1; n <= 1024; ++n) {
-    growth_allocs +=
-        AllocsDuring([&] { ASSERT_TRUE(engine->SubmitAsync(s.data(), n).ok()); });
+    growth_allocs += AllocsDuring(
+        [&] { ASSERT_TRUE(engine->SubmitAsync(kSession, s.data(), n).ok()); });
   }
   // 11 bit_ceil steps; leave headroom for one-off lazy initialization.
   EXPECT_LE(growth_allocs, 32u);

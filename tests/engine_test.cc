@@ -492,8 +492,12 @@ TEST(ShardedIngestorTest, SubmitAfterFinishFails) {
   ASSERT_TRUE(ingestor.ok());
   ASSERT_TRUE(ingestor.value()->Finish().ok());
   stream::TurnstileUpdate u{1, 1};
-  EXPECT_FALSE(ingestor.value()->Submit(&u, 1).ok());
-  EXPECT_FALSE(ingestor.value()->SubmitAsync(&u, 1).ok());
+  stream::ItemUpdate item{1};
+  EXPECT_FALSE(ingestor.value()->SubmitAsync(ProducerSession{}, &u, 1).ok());
+  EXPECT_FALSE(
+      ingestor.value()->TrySubmitAsync(ProducerSession{}, &u, 1).ok());
+  EXPECT_FALSE(
+      ingestor.value()->SubmitItemsAsync(ProducerSession{}, &item, 1).ok());
 }
 
 TEST(ShardedIngestorTest, WorkerErrorSurfacesOnFlush) {
@@ -505,7 +509,8 @@ TEST(ShardedIngestorTest, WorkerErrorSurfacesOnFlush) {
   auto ingestor = ShardedIngestor::Create(opts);
   ASSERT_TRUE(ingestor.ok());
   stream::TurnstileUpdate bad{1 << 20, 1};  // out of universe
-  Status submit = ingestor.value()->Submit(&bad, 1);
+  Status submit =
+      ingestor.value()->SubmitAsync(ProducerSession{}, &bad, 1).status();
   Status flush = ingestor.value()->Flush();
   EXPECT_FALSE(submit.ok() && flush.ok());
 }

@@ -14,7 +14,8 @@
 //
 // Crash replay mode: WBS_ENGINE_CRASH=replay makes every multi-batch
 // Replay() run a FailoverDrill(0) — checkpoint, crash injection, and
-// MoveShard-based recovery at one barrier — three quarters of the way
+// recovery through the cell-replace step (the checkpoint's frames imported
+// into a fresh cell) at one barrier — three quarters of the way
 // through the stream, with heartbeat supervision enabled on every client.
 // The drill is provably loss-free, so every suite's answers must still be
 // exact (in-process placements cannot crash; the drill's Unimplemented is
